@@ -20,8 +20,8 @@ from .model import eval_model
 from .normalize import to_aging_curve
 from .simulator import (
     NO_POLICY,
+    PolicyVariant,
     RejuvenationPolicy,
-    SimConfig,
     aging_degree,
     apply_policy_experiment,
     load_sim_config,
@@ -34,7 +34,6 @@ from .simulator import (
 from .smoothing import SmoothingConfig, lowess
 from .svg import Panel, Series, render_chart
 from .timeseries import (
-    MetricSeries,
     Orientation,
     load_series,
     rescale_time,
@@ -68,19 +67,6 @@ def cmd_smooth(args):
     return 0
 
 
-def _fit_one(path, orientation, time_scale):
-    series = load_series(path, _series_name(path), orientation)
-    series = rescale_time(series, time_scale)
-    curve = to_aging_curve(series)
-    report = fit(curve)
-    if not report.converged:
-        print(
-            f"warning: {series.name}: fit did not converge (converged=false)",
-            file=sys.stderr,
-        )
-    return series.name, curve, report
-
-
 def _fit_chart(curve, report):
     predicted = eval_model(report.model, curve.t)
     residual = curve.y - predicted
@@ -105,34 +91,50 @@ def _fit_chart(curve, report):
     )
 
 
+def _fit_and_write(args, curves):
+    """Fit each curve, warn on stderr when a fit does not converge, write the outputs."""
+    fitted = []
+    for curve in curves:
+        report = fit(curve)
+        if not report.converged:
+            print(
+                f"warning: {curve.source_name}: fit did not converge (converged=false)",
+                file=sys.stderr,
+            )
+        fitted.append((curve, report))
+    write_fit_reports(args.output, [(curve.source_name, report) for curve, report in fitted])
+    if args.svg is not None:
+        write_text_atomic(args.svg, _fit_chart(*fitted[0]))
+    return 0
+
+
 def cmd_fit(args):
     orientation = Orientation(args.orientation)
     if args.svg is not None and len(args.inputs) != 1:
         raise ParseError("--svg requires exactly one input file")
-    results = [_fit_one(path, orientation, args.time_scale) for path in args.inputs]
-    write_fit_reports(args.output, [(name, report) for name, _, report in results])
-    if args.svg is not None:
-        _, curve, report = results[0]
-        write_text_atomic(args.svg, _fit_chart(curve, report))
-    return 0
+
+    def curve(path):
+        series = load_series(path, _series_name(path), orientation)
+        return to_aging_curve(rescale_time(series, args.time_scale))
+
+    return _fit_and_write(args, (curve(path) for path in args.inputs))
 
 
 def _build_policy(parser, args):
-    if args.policy == "probabilistic":
+    variant = PolicyVariant(args.policy)
+    if variant is PolicyVariant.PROBABILISTIC_ADMISSION:
         if args.policy_p is None:
             parser.error("--policy probabilistic requires --policy-p")
         return RejuvenationPolicy.probabilistic(args.policy_p, args.trigger)
     if args.policy_p is not None:
         parser.error("--policy-p is only valid with --policy probabilistic")
-    if args.policy == "memreap":
+    if variant is PolicyVariant.MEM_REAP_ENLARGE:
         return RejuvenationPolicy.mem_reap_enlarge(args.refcount, args.trigger)
     if args.refcount is not None:
         parser.error("--refcount is only valid with --policy memreap")
-    if args.policy == "none":
+    if variant is PolicyVariant.NONE:
         return NO_POLICY
-    if args.policy == "cache-hit":
-        return RejuvenationPolicy.cache_hit(args.trigger)
-    return RejuvenationPolicy.disk_block_reset(args.trigger)
+    return RejuvenationPolicy(variant, args.trigger)
 
 
 def _trace_chart(states, cfg, marker=None):
@@ -182,14 +184,10 @@ def _run_simulation(parser, args, rejuvenation_tick=None):
     if rejuvenation_tick is None:
         states = run(cfg, load, policy, ticks=args.ticks, seed=args.seed)
     else:
-        if rejuvenation_tick >= args.ticks:
-            raise DomainError(
-                f"rejuvenation tick {rejuvenation_tick} must be below --ticks {args.ticks}"
-            )
         before, after = apply_policy_experiment(
             cfg, load, policy, args.ticks, rejuvenation_tick, seed=args.seed
         )
-        states = list(before) + list(after)
+        states = before + after
     write_trace(args.output, states)
     if args.svg is not None:
         write_text_atomic(args.svg, _trace_chart(states, cfg, marker=rejuvenation_tick))
@@ -207,24 +205,8 @@ def cmd_rejuvenate(parser, args):
 def cmd_report(args):
     cfg = _resolve_config(args)
     columns = load_trace(args.input)
-    series = MetricSeries(
-        name=_series_name(args.input),
-        unit="kbyte",
-        orientation=Orientation.LOWER_IS_WORSE,
-        t=columns["tick"] * cfg.tick_seconds / 3600.0,
-        values=columns["bandwidth_kbyte"],
-    )
-    curve = to_aging_curve(series)
-    report = fit(curve)
-    if not report.converged:
-        print(
-            f"warning: {series.name}: fit did not converge (converged=false)",
-            file=sys.stderr,
-        )
-    write_fit_reports(args.output, [(series.name, report)])
-    if args.svg is not None:
-        write_text_atomic(args.svg, _fit_chart(curve, report))
-    return 0
+    curve = aging_degree(columns["tick"], columns["bandwidth_kbyte"], cfg, _series_name(args.input))
+    return _fit_and_write(args, [curve])
 
 
 def _add_simulation_flags(sub):
@@ -237,7 +219,7 @@ def _add_simulation_flags(sub):
     )
     sub.add_argument(
         "--policy",
-        choices=("none", "cache-hit", "probabilistic", "block-reset", "memreap"),
+        choices=tuple(v.value for v in PolicyVariant),
         default="none",
         help="rejuvenation policy variant (default: none)",
     )

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .normalize import to_aging_curve
 from .smoothing import SmoothingConfig
-from .timeseries import MetricSeries, Orientation, format_float, write_text_atomic
+from .timeseries import MetricSeries, Orientation, _read_columns, format_float, write_text_atomic
 
 TRACE_HEADER = (
     "tick",
@@ -223,12 +223,12 @@ class SimConfig:
             raise DomainError("initial cache plus baseline working set exceeds total memory")
 
 
-_INT_CONFIG_FIELDS = {"catalog_files", "capacity_clients", "refcount_threshold", "trigger_window_ticks"}
-
-
 def load_sim_config(path):
-    """Parse a flat key=value config file; unknown keys are parse errors."""
-    known = {f.name for f in fields(SimConfig)}
+    """Parse a flat key=value config file; unknown keys are parse errors.
+
+    Each value is parsed as its SimConfig field's annotated type (int or float).
+    """
+    kinds = {f.name: f.type for f in fields(SimConfig)}
     overrides = {}
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -244,13 +244,10 @@ def load_sim_config(path):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in kinds:
             raise ParseError(f"{path}: line {line_num}: unknown config key {key!r}")
         try:
-            if key in _INT_CONFIG_FIELDS:
-                overrides[key] = int(value)
-            else:
-                overrides[key] = float(value)
+            overrides[key] = kinds[key](value)
         except ValueError:
             raise ParseError(
                 f"{path}: line {line_num}: value for {key} is not numeric: {value!r}"
@@ -557,16 +554,26 @@ def step(state, load, cfg, policy=NO_POLICY, rng=None):
     return new_state
 
 
+def _simulate(cfg, load, policy, ticks, seed, policy_from):
+    """The simulation loop: ticks steps from a fresh server on one RNG stream.
+
+    The policy governs the steps from tick ``policy_from`` on; earlier steps
+    run unpoliced. Returns ticks+1 states.
+    """
+    validate_workload(load, cfg)
+    rng = np.random.default_rng(seed)
+    states = [init_state(cfg)]
+    for tick in range(ticks):
+        tick_policy = policy if tick >= policy_from else NO_POLICY
+        states.append(step(states[-1], load, cfg, tick_policy, rng))
+    return states
+
+
 def run(cfg, load, policy=NO_POLICY, ticks=4000, seed=0):
     """Simulate ticks steps from a fresh server; returns ticks+1 states."""
     if ticks < 0:
         raise DomainError(f"ticks must be nonnegative, got {ticks}")
-    validate_workload(load, cfg)
-    rng = np.random.default_rng(seed)
-    states = [init_state(cfg)]
-    for _ in range(ticks):
-        states.append(step(states[-1], load, cfg, policy, rng))
-    return states
+    return _simulate(cfg, load, policy, ticks, seed, policy_from=0)
 
 
 def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0):
@@ -578,17 +585,8 @@ def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0)
         raise DomainError(
             f"rejuvenation_tick must fall inside (0, {ticks}), got {rejuvenation_tick}"
         )
-    validate_workload(load, cfg)
-    rng = np.random.default_rng(seed)
-    before = [init_state(cfg)]
-    for _ in range(rejuvenation_tick):
-        before.append(step(before[-1], load, cfg, NO_POLICY, rng))
-    after = []
-    current = before[-1]
-    for _ in range(ticks - rejuvenation_tick):
-        current = step(current, load, cfg, policy, rng)
-        after.append(current)
-    return before, after
+    states = _simulate(cfg, load, policy, ticks, seed, policy_from=rejuvenation_tick)
+    return states[: rejuvenation_tick + 1], states[rejuvenation_tick + 1 :]
 
 
 def trace_csv(states):
@@ -617,44 +615,19 @@ def write_trace(path, states):
 
 def load_trace(path):
     """Read a trace CSV back as {column: array}; validates the header."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            lines = [line.rstrip("\r\n") for line in handle if line.strip()]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    if not lines:
-        raise ParseError(f"{path}: file is empty")
-    header = tuple(cell.strip() for cell in lines[0].split(","))
-    if header != TRACE_HEADER:
-        raise ParseError(f"{path}: expected trace header '{','.join(TRACE_HEADER)}'")
-    columns = {name: [] for name in TRACE_HEADER}
-    for line_num, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(TRACE_HEADER):
-            raise ParseError(f"{path}: row {line_num}: expected {len(TRACE_HEADER)} fields")
-        for name, part in zip(TRACE_HEADER, parts):
-            try:
-                columns[name].append(float(part))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {line_num}: field {name} is not numeric: {part!r}"
-                ) from None
-    if not columns["tick"]:
-        raise ParseError(f"{path}: no data rows")
-    return {name: np.asarray(vals) for name, vals in columns.items()}
+    return dict(zip(TRACE_HEADER, _read_columns(path, TRACE_HEADER, "trace header")))
 
 
-def aging_degree(states, cfg, smoothing=None):
-    """Bandwidth trace -> smoothed, normalized aging curve on an hour axis."""
-    if len(states) < 3:
+def aging_degree(ticks, bandwidth, cfg, name="bandwidth_kbyte", smoothing=None):
+    """Bandwidth per tick -> smoothed, normalized aging curve on an hour axis."""
+    ticks = np.asarray(ticks, dtype=float)
+    if len(ticks) < 3:
         raise DomainError("aging_degree needs at least 3 states")
-    t_hours = np.array([s.tick * cfg.tick_seconds / 3600.0 for s in states])
-    bandwidth = np.array([s.bandwidth_kbyte for s in states])
     series = MetricSeries(
-        name="bandwidth_kbyte",
+        name=name,
         unit="kbyte",
         orientation=Orientation.LOWER_IS_WORSE,
-        t=t_hours,
+        t=ticks * cfg.tick_seconds / 3600.0,
         values=bandwidth,
     )
     return to_aging_curve(series, smoothing or SmoothingConfig())

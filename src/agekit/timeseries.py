@@ -3,9 +3,11 @@
 A series is the package's unit of currency: every downstream stage (smoothing,
 normalization, fitting) consumes a MetricSeries and leaves the time grid alone.
 Files are two-column CSV with the exact header ``t,value``, UTF-8, LF or CRLF.
+The numeric CSV reader here also reads simulator traces.
 """
 
 import csv
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -92,17 +94,74 @@ def rescale_time(series, factor):
     )
 
 
-def _parse_float(text, what, line_num):
-    text = text.strip()
-    if not text:
-        raise ParseError(f"row {line_num}: empty {what} field")
+def _parse_row(path, row, line_num, header):
+    """Values of one CSV row, None for a blank row, or a ParseError naming the bad field."""
+    if all(not cell.strip() for cell in row):
+        return None
+    at = f"{path}: row {line_num}"
+    if len(row) != len(header):
+        raise ParseError(f"{at}: expected {len(header)} fields, got {len(row)}")
+    values = []
+    for name, cell in zip(header, row):
+        text = cell.strip()
+        if not text:
+            raise ParseError(f"{at}: empty {name} field")
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"{at}: field {name} is not numeric: {text!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{at}: field {name} is not finite: {text!r}")
+        values.append(value)
+    return values
+
+
+def _read_columns(path, header, header_label="header"):
+    """Read a numeric CSV whose first non-blank row is exactly ``header``.
+
+    Returns one float array per column. UTF-8 (BOM allowed), LF or CRLF.
+    Blank rows are skipped; any other malformed row fails with its physical
+    row number and the name of the offending field.
+    """
     try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"row {line_num}: {what} field {text!r} is not a number") from None
-    if not np.isfinite(value):
-        raise ParseError(f"row {line_num}: {what} field {text!r} is not finite")
-    return value
+        # utf-8-sig so a BOM from spreadsheet exports does not corrupt the header
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    rows = []
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            for row in reader:
+                if all(not cell.strip() for cell in row):
+                    continue
+                got = tuple(cell.strip() for cell in row)
+                if got != header:
+                    raise ParseError(
+                        f"{path}: row {reader.line_num}: expected {header_label} "
+                        f"'{','.join(header)}', got '{','.join(got)}'"
+                    )
+                break
+            else:
+                raise ParseError(f"{path}: file is empty")
+            for row in reader:
+                # Fast path for a well-formed row; a NaN or infinity makes the
+                # sum non-finite. Anything else takes the checking path, which
+                # also accepts the rare finite row whose sum overflows.
+                try:
+                    values = [float(cell) for cell in row]
+                except ValueError:
+                    values = None
+                if values is None or len(values) != len(header) or not math.isfinite(sum(values)):
+                    values = _parse_row(path, row, reader.line_num, header)
+                    if values is None:
+                        continue
+                rows.append(values)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return tuple(np.array(rows, dtype=float).T.copy())
 
 
 def load_series(path, name, orientation, unit=""):
@@ -111,53 +170,33 @@ def load_series(path, name, orientation, unit=""):
     Blank lines are skipped; any other malformed row fails with its row number.
     Non-increasing timestamps (duplicates included) are a domain error.
     """
+    t, values = _read_columns(path, CSV_HEADER)
     try:
-        # utf-8-sig so a BOM from spreadsheet exports does not corrupt the header
-        handle = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    ts = []
-    values = []
-    with handle:
-        reader = csv.reader(handle)
-        header = None
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if header is None:
-                header = tuple(cell.strip() for cell in row)
-                if header != CSV_HEADER:
-                    raise ParseError(
-                        f"{path}: row {reader.line_num}: expected header "
-                        f"'{','.join(CSV_HEADER)}', got '{','.join(header)}'"
-                    )
-                continue
-            if len(row) != 2:
-                raise ParseError(
-                    f"{path}: row {reader.line_num}: expected 2 fields, got {len(row)}"
-                )
-            try:
-                ts.append(_parse_float(row[0], "t", reader.line_num))
-                values.append(_parse_float(row[1], "value", reader.line_num))
-            except ParseError as exc:
-                raise ParseError(f"{path}: {exc}") from None
-    if header is None:
-        raise ParseError(f"{path}: file is empty")
-    if not ts:
-        raise ParseError(f"{path}: no data rows")
-    try:
-        return MetricSeries(name=name, unit=unit, orientation=orientation, t=ts, values=values)
+        return MetricSeries(name=name, unit=unit, orientation=orientation, t=t, values=values)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
 
 
 def write_text_atomic(path, text):
-    """Write ``text`` to ``path`` atomically (temp file + rename)."""
+    """Write ``text`` to ``path`` atomically (temp file, fsync, rename).
+
+    A new file gets mode 0666 minus the umask, as ``open`` would give it; an
+    existing file keeps its mode.
+    """
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it; restore at once
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".agekit-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+            handle.flush()
+            os.fchmod(handle.fileno(), mode)
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         try:

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from agekit.cli import default_config, main
-from agekit.fitting import FIT_REPORT_HEADER
+from agekit.fitting import FIT_REPORT_HEADER, fit
 from agekit.model import FeedbackLoopModel, eval_model
-from agekit.simulator import SimConfig, load_trace
+from agekit.normalize import to_aging_curve
+from agekit.simulator import TRACE_HEADER, SimConfig, aging_degree, load_trace
 from agekit.smoothing import lowess_values
-from agekit.timeseries import Orientation, load_series
+from agekit.timeseries import Orientation, load_series, rescale_time
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -22,6 +23,13 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 def write_series_csv(path, t, values):
     lines = ["t,value"] + [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(t, values)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def fit_stderr(name, curve):
+    """What fit and report must print: the warning once iff the library fit does not converge."""
+    if fit(curve).converged:
+        return ""
+    return f"warning: {name}: fit did not converge (converged=false)\n"
 
 
 def read_report(path):
@@ -194,12 +202,16 @@ class TestFit:
         write_series_csv(path, t_hours * 3600.0, values)
         return t_hours, values
 
-    def test_single_input_recovers_shape(self, tmp_path):
+    def test_single_input_recovers_shape(self, tmp_path, capsys):
         record = FeedbackLoopModel(0.4504, 0.05, 1.2)
         src = tmp_path / "tpcw.csv"
         self.make_model_series(src, record)
         out = tmp_path / "report.csv"
         assert main(["fit", str(src), "--orientation", "higher-is-worse", "-o", str(out)]) == 0
+
+        series = load_series(src, "tpcw", Orientation.HIGHER_IS_WORSE)
+        curve = to_aging_curve(rescale_time(series, 1.0 / 3600.0))
+        assert capsys.readouterr().err == fit_stderr("tpcw", curve)
 
         rows = read_report(out)
         assert len(rows) == 1
@@ -377,7 +389,19 @@ class TestReport:
         root = ET.fromstring(chart.read_text())
         assert root.tag == f"{SVG_NS}svg"
 
-    def test_rejects_non_trace_input(self, tmp_path):
+        columns = load_trace(l2_trace)
+        curve = aging_degree(columns["tick"], columns["bandwidth_kbyte"], default_config(), "l2")
+        assert capsys.readouterr().err == fit_stderr("l2", curve)
+
+    def test_rejects_non_trace_input(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.csv"
         write_series_csv(bogus, [1.0, 2.0], [3.0, 4.0])
         assert main(["report", str(bogus), "-o", str(tmp_path / "r.csv")]) == 2
+
+        # a non-finite trace field is a parse error that names file, row and field
+        non_finite = tmp_path / "non_finite.csv"
+        non_finite.write_text(",".join(TRACE_HEADER) + "\n0,1,2,3,4,5,6\n1,1,2,3,4,nan,6\n")
+        capsys.readouterr()
+        assert main(["report", str(non_finite), "-o", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "non_finite.csv: row 3: field bandwidth_kbyte is not finite" in err

@@ -545,9 +545,32 @@ class TestTraceIO:
         with pytest.raises(ParseError, match="no data rows"):
             load_trace(header_only)
 
+        # blank lines do not shift the reported row: the bad row is line 6
+        blank_lines = tmp_path / "blank.csv"
+        blank_lines.write_text(",".join(TRACE_HEADER) + "\n\n0,1,2,3,4,5,6\n\n\n1,2,3\n")
+        with pytest.raises(ParseError, match="row 6: expected 7 fields"):
+            load_trace(blank_lines)
+
+        for text in ("nan", "inf", "-Infinity"):
+            non_finite = tmp_path / "non_finite.csv"
+            non_finite.write_text(",".join(TRACE_HEADER) + f"\n0,1,2,3,4,{text},6\n")
+            message = f"row 2: field bandwidth_kbyte is not finite: '{text}'"
+            with pytest.raises(ParseError, match=message):
+                load_trace(non_finite)
+
+        not_utf8 = tmp_path / "latin1.csv"
+        not_utf8.write_bytes(",".join(TRACE_HEADER).encode() + b"\n0,1,2,3,4,\xb5,6\n")
+        with pytest.raises(ParseError, match="can't decode"):
+            load_trace(not_utf8)
+
     def test_missing_trace_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             load_trace(tmp_path / "nope.csv")
+
+
+def degree_of(states, cfg, **kwargs):
+    ticks = [s.tick for s in states]
+    return aging_degree(ticks, [s.bandwidth_kbyte for s in states], cfg, **kwargs)
 
 
 class TestAgingDegree:
@@ -557,7 +580,7 @@ class TestAgingDegree:
         states = [
             dataclasses.replace(base, tick=i, bandwidth_kbyte=110.0 - 10.0 * i) for i in range(6)
         ]
-        curve = aging_degree(states, cfg, smoothing=SmoothingConfig(fraction=1.0))
+        curve = degree_of(states, cfg, smoothing=SmoothingConfig(fraction=1.0))
         # the tick-zero sample is dropped from the fit axis
         assert curve.t.shape == (5,)
         np.testing.assert_allclose(curve.t, np.arange(1, 6) * cfg.tick_seconds / 3600.0)
@@ -567,17 +590,17 @@ class TestAgingDegree:
     def test_aging_run_degree_is_bounded(self):
         cfg = SimConfig()
         states = run(cfg, parse_workload(AGING_LOAD), ticks=600)
-        curve = aging_degree(states, cfg)
+        curve = degree_of(states, cfg)
         assert np.all(curve.y >= 0.0) and np.all(curve.y <= 1.0)
 
     def test_needs_three_states(self):
         cfg = SimConfig()
         with pytest.raises(DomainError, match="at least 3 states"):
-            aging_degree(run(cfg, parse_workload(STABLE_LOAD), ticks=1), cfg)
+            degree_of(run(cfg, parse_workload(STABLE_LOAD), ticks=1), cfg)
 
     def test_flat_bandwidth_is_degenerate(self):
         cfg = SimConfig()
         base = init_state(cfg)
         states = [dataclasses.replace(base, tick=i) for i in range(5)]
         with pytest.raises(DomainError, match="degenerate"):
-            aging_degree(states, cfg)
+            degree_of(states, cfg)

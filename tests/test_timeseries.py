@@ -1,6 +1,8 @@
 """Series ingestion, validation, rescaling, and CSV round trips."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from agekit.timeseries import (
     load_series,
     rescale_time,
     save_series,
+    write_text_atomic,
 )
 
 
@@ -204,3 +207,28 @@ class TestSaveSeries:
         save_series(make_series([1.0], [2.0]), path)
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != "out.csv"]
         assert leftovers == []
+
+
+class TestWriteTextAtomic:
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def mode(self, path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    def test_new_file_mode_follows_umask(self, tmp_path, umask_022):
+        path = tmp_path / "new.csv"
+        write_text_atomic(str(path), "t,value\n")
+        assert path.read_text() == "t,value\n"
+        assert self.mode(path) == 0o644
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, umask_022):
+        path = tmp_path / "old.csv"
+        path.write_text("stale\n")
+        os.chmod(path, 0o640)
+        write_text_atomic(str(path), "fresh\n")
+        assert path.read_text() == "fresh\n"
+        assert self.mode(path) == 0o640
