@@ -28,10 +28,9 @@ from .simulator import (
     load_trace,
     parse_workload,
     run,
-    validate_workload,
     write_trace,
 )
-from .smoothing import SmoothingConfig, lowess
+from .smoothing import lowess
 from .svg import Panel, Series, render_chart
 from .timeseries import (
     Orientation,
@@ -62,8 +61,7 @@ def _series_name(path):
 
 def cmd_smooth(args):
     series = load_series(args.input, _series_name(args.input), Orientation.HIGHER_IS_WORSE)
-    config = SmoothingConfig(fraction=args.fraction, robust_iterations=args.iterations)
-    save_series(lowess(series, config), args.output)
+    save_series(lowess(series, args.fraction, args.iterations), args.output)
     return 0
 
 
@@ -129,6 +127,8 @@ def _build_policy(parser, args):
     if args.policy_p is not None:
         parser.error("--policy-p is only valid with --policy probabilistic")
     if variant is PolicyVariant.MEM_REAP_ENLARGE:
+        if args.refcount is None:
+            parser.error("--policy memreap requires --refcount")
         return RejuvenationPolicy.mem_reap_enlarge(args.refcount, args.trigger)
     if args.refcount is not None:
         parser.error("--refcount is only valid with --policy memreap")
@@ -137,7 +137,7 @@ def _build_policy(parser, args):
     return RejuvenationPolicy(variant, args.trigger)
 
 
-def _trace_chart(states, cfg, marker=None):
+def _trace_chart(states, marker=None):
     ticks = np.array([s.tick for s in states], dtype=float)
 
     def col(attr):
@@ -179,7 +179,6 @@ def _trace_chart(states, cfg, marker=None):
 def _run_simulation(parser, args, rejuvenation_tick=None):
     cfg = _resolve_config(args)
     load = parse_workload(args.workload)
-    validate_workload(load, cfg)
     policy = _build_policy(parser, args)
     if rejuvenation_tick is None:
         states = run(cfg, load, policy, ticks=args.ticks, seed=args.seed)
@@ -190,7 +189,7 @@ def _run_simulation(parser, args, rejuvenation_tick=None):
         states = before + after
     write_trace(args.output, states)
     if args.svg is not None:
-        write_text_atomic(args.svg, _trace_chart(states, cfg, marker=rejuvenation_tick))
+        write_text_atomic(args.svg, _trace_chart(states, marker=rejuvenation_tick))
     return 0
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .smoothing import SmoothingConfig, lowess
-from .timeseries import Orientation
+from .smoothing import lowess
+from .timeseries import Orientation, _as_readonly_float_array
 
 
 def normalize_only(values, orientation):
@@ -41,12 +41,6 @@ def normalize_only(values, orientation):
     raise DomainError(f"unknown orientation: {orientation!r}")
 
 
-def _readonly(arr):
-    arr = np.asarray(arr, dtype=float).copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class AgingCurve:
     """Aging degree samples y(t) in [0, 1] on strictly positive times."""
@@ -56,11 +50,11 @@ class AgingCurve:
     y: np.ndarray
 
     def __post_init__(self):
-        t = _readonly(self.t)
-        y = _readonly(self.y)
+        t = _as_readonly_float_array(self.t, "t")
+        y = _as_readonly_float_array(self.y, "y")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
-        if t.ndim != 1 or y.ndim != 1 or len(t) != len(y):
+        if len(t) != len(y):
             raise DomainError("aging curve needs matching one-dimensional t and y")
         if len(t) < 2:
             raise DomainError(f"aging curve needs at least 2 samples, got {len(t)}")
@@ -73,24 +67,24 @@ class AgingCurve:
 
     @classmethod
     def unchecked(cls, source_name, t, y):
-        """Build without validation. Escape hatch for synthetic/research data."""
+        """Build without the curve checks. Escape hatch for synthetic/research data."""
         curve = object.__new__(cls)
         object.__setattr__(curve, "source_name", source_name)
-        object.__setattr__(curve, "t", _readonly(t))
-        object.__setattr__(curve, "y", _readonly(y))
+        object.__setattr__(curve, "t", _as_readonly_float_array(t, "t"))
+        object.__setattr__(curve, "y", _as_readonly_float_array(y, "y"))
         return curve
 
     def __len__(self):
         return len(self.t)
 
 
-def to_aging_curve(series, smoothing=None):
+def to_aging_curve(series):
     """Smooth a raw series, normalize it, and drop any t = 0 sample.
 
     The drop happens after smoothing and normalizing so the extremes are taken
     over the full smoothed series; at most one sample is lost.
     """
-    smoothed = lowess(series, smoothing or SmoothingConfig())
+    smoothed = lowess(series)
     y = normalize_only(smoothed.values, series.orientation)
     t = smoothed.t
     keep = t > 0.0

@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .normalize import to_aging_curve
-from .smoothing import SmoothingConfig
 from .timeseries import MetricSeries, Orientation, _read_columns, format_float, write_text_atomic
 
 TRACE_HEADER = (
@@ -235,6 +234,8 @@ def load_sim_config(path):
             lines = handle.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     for line_num, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -618,16 +619,15 @@ def load_trace(path):
     return dict(zip(TRACE_HEADER, _read_columns(path, TRACE_HEADER, "trace header")))
 
 
-def aging_degree(ticks, bandwidth, cfg, name="bandwidth_kbyte", smoothing=None):
+def aging_degree(ticks, bandwidth, cfg, name="bandwidth_kbyte"):
     """Bandwidth per tick -> smoothed, normalized aging curve on an hour axis."""
     ticks = np.asarray(ticks, dtype=float)
     if len(ticks) < 3:
         raise DomainError("aging_degree needs at least 3 states")
     series = MetricSeries(
         name=name,
-        unit="kbyte",
         orientation=Orientation.LOWER_IS_WORSE,
         t=ticks * cfg.tick_seconds / 3600.0,
         values=bandwidth,
     )
-    return to_aging_curve(series, smoothing or SmoothingConfig())
+    return to_aging_curve(series)

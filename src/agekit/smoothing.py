@@ -8,7 +8,6 @@ single bit of the output.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,22 +16,6 @@ from .timeseries import MetricSeries
 
 MIN_WINDOW = 2  # a lone point fits no line
 MIN_SAMPLES = 3
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Knobs for lowess: neighbor fraction and robustness passes."""
-
-    fraction: float = 0.3
-    robust_iterations: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.fraction <= 1.0):
-            raise DomainError(f"fraction out of range (0, 1]: {self.fraction}")
-        if int(self.robust_iterations) != self.robust_iterations or self.robust_iterations < 0:
-            raise DomainError(
-                f"robust_iterations must be a nonnegative integer, got {self.robust_iterations}"
-            )
 
 
 def _fit_point(x, v, weights):
@@ -54,6 +37,12 @@ def _fit_point(x, v, weights):
 
 def lowess_values(t, values, fraction=0.3, robust_iterations=0):
     """Core array-level lowess. Returns smoothed values on the same grid."""
+    if not (0.0 < fraction <= 1.0):
+        raise DomainError(f"fraction out of range (0, 1]: {fraction}")
+    if int(robust_iterations) != robust_iterations or robust_iterations < 0:
+        raise DomainError(
+            f"robust_iterations must be a nonnegative integer, got {robust_iterations}"
+        )
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(t)
@@ -65,7 +54,7 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
 
     robustness = np.ones(n)
     smoothed = np.empty(n)
-    for _ in range(robust_iterations + 1):
+    for _ in range(int(robust_iterations) + 1):
         for i in range(n):
             dist = np.abs(t - t[i])
             d_max = np.partition(dist, window - 1)[window - 1]
@@ -93,19 +82,9 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
     return smoothed
 
 
-def lowess(series, config=None):
-    """Smooth a MetricSeries; the output keeps grid, name, unit, orientation."""
-    config = config or SmoothingConfig()
-    smoothed = lowess_values(
-        series.t,
-        series.values,
-        fraction=config.fraction,
-        robust_iterations=config.robust_iterations,
-    )
+def lowess(series, fraction=0.3, robust_iterations=0):
+    """Smooth a MetricSeries; the output keeps grid, name, orientation."""
+    smoothed = lowess_values(series.t, series.values, fraction, robust_iterations)
     return MetricSeries(
-        name=series.name,
-        unit=series.unit,
-        orientation=series.orientation,
-        t=series.t,
-        values=smoothed,
+        name=series.name, orientation=series.orientation, t=series.t, values=smoothed
     )

@@ -40,12 +40,10 @@ def _as_readonly_float_array(values, what):
 class MetricSeries:
     """A monitored indicator sampled at strictly increasing times.
 
-    ``unit`` is an opaque label (never interpreted); callers rescale time
-    explicitly with :func:`rescale_time` when a different unit is wanted.
+    Callers rescale time explicitly with :func:`rescale_time`.
     """
 
     name: str
-    unit: str
     orientation: Orientation
     t: np.ndarray
     values: np.ndarray
@@ -87,7 +85,6 @@ def rescale_time(series, factor):
         raise DomainError(f"time rescale factor must be positive and finite, got {factor}")
     return MetricSeries(
         name=series.name,
-        unit=series.unit,
         orientation=series.orientation,
         t=series.t * factor,
         values=series.values,
@@ -164,7 +161,7 @@ def _read_columns(path, header, header_label="header"):
     return tuple(np.array(rows, dtype=float).T.copy())
 
 
-def load_series(path, name, orientation, unit=""):
+def load_series(path, name, orientation):
     """Read a two-column ``t,value`` CSV into a MetricSeries.
 
     Blank lines are skipped; any other malformed row fails with its row number.
@@ -172,7 +169,7 @@ def load_series(path, name, orientation, unit=""):
     """
     t, values = _read_columns(path, CSV_HEADER)
     try:
-        return MetricSeries(name=name, unit=unit, orientation=orientation, t=t, values=values)
+        return MetricSeries(name=name, orientation=orientation, t=t, values=values)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
 

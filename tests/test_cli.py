@@ -150,6 +150,7 @@ class TestExitCodes:
             ["--policy", "probabilistic"],  # missing --policy-p
             ["--policy", "cache-hit", "--policy-p", "0.5"],
             ["--policy", "none", "--refcount", "5"],
+            ["--policy", "memreap"],  # missing --refcount
         ],
     )
     def test_mismatched_policy_flags(self, tmp_path, extra, capsys):

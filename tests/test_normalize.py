@@ -5,7 +5,6 @@ import pytest
 
 from agekit.errors import DomainError
 from agekit.normalize import AgingCurve, normalize_only, to_aging_curve
-from agekit.smoothing import SmoothingConfig
 from agekit.timeseries import MetricSeries, Orientation
 
 HIGHER = Orientation.HIGHER_IS_WORSE
@@ -100,16 +99,16 @@ class TestAgingCurve:
 
 class TestToAgingCurve:
     def smooth_series(self, t, values, orientation):
-        return MetricSeries(name="m", unit="", orientation=orientation, t=t, values=values)
+        return MetricSeries(name="m", orientation=orientation, t=t, values=values)
 
     def test_already_smooth_higher_is_worse(self):
         s = self.smooth_series([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], HIGHER)
-        c = to_aging_curve(s, SmoothingConfig(fraction=1.0))
+        c = to_aging_curve(s)
         assert np.max(np.abs(c.y - [0.0, 0.5, 1.0])) < 1e-9
 
     def test_already_smooth_lower_is_worse(self):
         s = self.smooth_series([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], LOWER)
-        c = to_aging_curve(s, SmoothingConfig(fraction=1.0))
+        c = to_aging_curve(s)
         assert np.max(np.abs(c.y - [1.0, 0.5, 0.0])) < 1e-9
 
     def test_constant_series_degenerate(self):
@@ -123,7 +122,7 @@ class TestToAgingCurve:
         # anchored to the full smoothed series
         t = np.array([0.0, 1.0, 2.0, 3.0])
         s = self.smooth_series(t, [1.0, 2.0, 3.0, 4.0], HIGHER)
-        c = to_aging_curve(s, SmoothingConfig(fraction=1.0))
+        c = to_aging_curve(s)
         assert len(c) == 3
         assert c.t[0] == 1.0
         assert c.y[0] == pytest.approx(1.0 / 3.0, abs=1e-9)

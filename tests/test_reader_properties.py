@@ -1,4 +1,5 @@
-"""Property tests for the CSV reader behind load_series and load_trace.
+"""Property tests for the CSV reader behind load_series and load_trace,
+and for the simulator's key=value config reader.
 
 Hypothesis is a test-only dependency; without it this module is skipped.
 """
@@ -14,7 +15,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from agekit.errors import DomainError, ParseError  # noqa: E402
-from agekit.simulator import TRACE_HEADER, SimState, load_trace, trace_csv  # noqa: E402
+from agekit.simulator import (  # noqa: E402
+    TRACE_HEADER,
+    SimState,
+    load_sim_config,
+    load_trace,
+    trace_csv,
+)
 from agekit.timeseries import (  # noqa: E402
     MetricSeries,
     Orientation,
@@ -45,7 +52,7 @@ series_columns = times.flatmap(
 @given(series_columns)
 def test_save_then_load_is_a_fixed_point(columns):
     t, values = columns
-    series = MetricSeries("s", "", Orientation.HIGHER_IS_WORSE, t, values)
+    series = MetricSeries("s", Orientation.HIGHER_IS_WORSE, t, values)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "s.csv")
         save_series(series, path)
@@ -102,5 +109,25 @@ def test_arbitrary_file_loads_or_raises_package_errors(data):
     try:
         loads_or_raises_package_error(load_series, path, "s", Orientation.HIGHER_IS_WORSE)
         loads_or_raises_package_error(load_trace, path)
+    finally:
+        os.unlink(path)
+
+
+# Lines that often name a real key, so the value parse and SimConfig see fuzz too.
+config_text = st.lists(
+    st.tuples(
+        st.sampled_from(["catalog_files", "queue_gain", "tick_seconds", "warp"]),
+        st.sampled_from(["=", " = ", " "]),
+        st.text(alphabet="0123456789.e-+naif# "),
+    ).map("".join)
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(config_text.map(lambda text: text.encode("utf-8")), st.binary()))
+def test_arbitrary_config_loads_or_raises_package_errors(data):
+    path = scratch_file(data)
+    try:
+        loads_or_raises_package_error(load_sim_config, path)
     finally:
         os.unlink(path)

@@ -34,7 +34,6 @@ from agekit.simulator import (
     validate_workload,
     write_trace,
 )
-from agekit.smoothing import SmoothingConfig
 
 STABLE_LOAD = "600,0,20,20,1000,0"
 AGING_LOAD = "600,0,100,20,1000,0"
@@ -182,6 +181,12 @@ class TestLoadSimConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             load_sim_config(tmp_path / "absent.cfg")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_bytes(b"catalog_files=\xb5\n")
+        with pytest.raises(ParseError, match="sim.cfg.*can't decode byte 0xb5"):
+            load_sim_config(path)
 
     def test_domain_error_carries_path(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -568,9 +573,9 @@ class TestTraceIO:
             load_trace(tmp_path / "nope.csv")
 
 
-def degree_of(states, cfg, **kwargs):
+def degree_of(states, cfg):
     ticks = [s.tick for s in states]
-    return aging_degree(ticks, [s.bandwidth_kbyte for s in states], cfg, **kwargs)
+    return aging_degree(ticks, [s.bandwidth_kbyte for s in states], cfg)
 
 
 class TestAgingDegree:
@@ -580,7 +585,7 @@ class TestAgingDegree:
         states = [
             dataclasses.replace(base, tick=i, bandwidth_kbyte=110.0 - 10.0 * i) for i in range(6)
         ]
-        curve = degree_of(states, cfg, smoothing=SmoothingConfig(fraction=1.0))
+        curve = degree_of(states, cfg)
         # the tick-zero sample is dropped from the fit axis
         assert curve.t.shape == (5,)
         np.testing.assert_allclose(curve.t, np.arange(1, 6) * cfg.tick_seconds / 3600.0)

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from agekit.errors import DomainError
-from agekit.smoothing import SmoothingConfig, lowess, lowess_values
+from agekit.smoothing import lowess, lowess_values
 from agekit.timeseries import MetricSeries, Orientation
 
 from reference_lowess import reference_lowess
 
 
 def make_series(t, values):
-    return MetricSeries(
-        name="s", unit="", orientation=Orientation.HIGHER_IS_WORSE, t=t, values=values
-    )
+    return MetricSeries(name="s", orientation=Orientation.HIGHER_IS_WORSE, t=t, values=values)
 
 
 def noisy_series(n=100, seed=0):
@@ -24,23 +22,27 @@ def noisy_series(n=100, seed=0):
 
 
 class TestConfig:
+    """lowess_values checks its own fraction and robust_iterations."""
+
     def test_defaults(self):
-        cfg = SmoothingConfig()
-        assert cfg.fraction == 0.3
-        assert cfg.robust_iterations == 0
+        t, v = noisy_series(30)
+        assert np.array_equal(lowess_values(t, v), lowess_values(t, v, 0.3, 0))
 
     @pytest.mark.parametrize("fraction", [0.0, -0.3, 1.5])
     def test_fraction_out_of_range(self, fraction):
+        t, v = noisy_series(30)
         with pytest.raises(DomainError, match="fraction out of range"):
-            SmoothingConfig(fraction=fraction)
+            lowess_values(t, v, fraction=fraction)
 
     def test_fraction_of_one_allowed(self):
-        SmoothingConfig(fraction=1.0)
+        t, v = noisy_series(30)
+        lowess_values(t, v, fraction=1.0)
 
     @pytest.mark.parametrize("iters", [-1, 0.5])
     def test_bad_iterations(self, iters):
+        t, v = noisy_series(30)
         with pytest.raises(DomainError, match="robust_iterations"):
-            SmoothingConfig(robust_iterations=iters)
+            lowess_values(t, v, robust_iterations=iters)
 
 
 class TestExactCases:
@@ -134,14 +136,14 @@ class TestSeriesWrapper:
     def test_grid_and_metadata_preserved(self):
         t, v = noisy_series(50, seed=1)
         s = make_series(t, v)
-        out = lowess(s, SmoothingConfig(fraction=0.4))
+        out = lowess(s, fraction=0.4, robust_iterations=1)
+        assert np.array_equal(out.values, lowess_values(t, v, 0.4, 1))
         assert np.array_equal(out.t, s.t)
         assert out.name == s.name
-        assert out.unit == s.unit
         assert out.orientation is s.orientation
         assert len(out) == len(s)
 
     def test_default_config_used_when_omitted(self):
         t, v = noisy_series(50, seed=2)
         s = make_series(t, v)
-        assert np.array_equal(lowess(s).values, lowess(s, SmoothingConfig()).values)
+        assert np.array_equal(lowess(s).values, lowess_values(t, v))

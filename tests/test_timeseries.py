@@ -19,7 +19,7 @@ from agekit.timeseries import (
 
 
 def make_series(t, values, orientation=Orientation.HIGHER_IS_WORSE):
-    return MetricSeries(name="s", unit="", orientation=orientation, t=t, values=values)
+    return MetricSeries(name="s", orientation=orientation, t=t, values=values)
 
 
 class TestMetricSeries:
@@ -64,7 +64,7 @@ class TestMetricSeries:
 
     def test_orientation_type_enforced(self):
         with pytest.raises(DomainError, match="orientation"):
-            MetricSeries(name="s", unit="", orientation="up", t=[0.0], values=[1.0])
+            MetricSeries(name="s", orientation="up", t=[0.0], values=[1.0])
 
 
 class TestRescaleTime:
