@@ -33,7 +33,13 @@ def normalize_only(values, orientation):
     high = values.max()
     if high == low:
         raise DomainError("degenerate series: constant values carry no aging trend")
-    span = high - low
+    with np.errstate(over="ignore"):
+        span = high - low
+    if not np.isfinite(span):
+        # extremes of opposite sign near the float limit: halving every term is
+        # exact there, and it brings the span back into range
+        values, low, high = values / 2.0, low / 2.0, high / 2.0
+        span = high - low
     if orientation is Orientation.HIGHER_IS_WORSE:
         return (values - low) / span
     if orientation is Orientation.LOWER_IS_WORSE:

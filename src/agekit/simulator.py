@@ -27,6 +27,7 @@ defaults were calibrated once against the stable/aging reference workloads
 and are not meant to be tuned per run.
 """
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
@@ -413,17 +414,44 @@ def validate_workload(load, cfg):
         )
 
 
+def _poisson_pmf(file_object, mean_fraction):
+    """Poisson popularity of files 0..file_object-1, lam = mean_fraction * file_object.
+
+    The pmf is renormalized over the catalog. It is built in log space outward
+    from the mode m: log p(k) - log p(m) is a running sum of log(lam / j),
+    small wherever p is large, so it stays finite and accurate for any catalog
+    size (exp(-lam) itself underflows once lam > 745).
+    """
+    lam = max(mean_fraction * file_object, 1e-9)
+    mode = min(int(lam), file_object - 1)
+    log_ratio = np.log(lam / np.arange(1, file_object))  # log p(j) - log p(j - 1)
+    log_pmf = np.zeros(file_object)
+    log_pmf[mode + 1 :] = np.cumsum(log_ratio[mode:])
+    log_pmf[:mode] = -np.cumsum(log_ratio[:mode][::-1])[::-1]
+    pmf = np.exp(log_pmf)
+    return pmf / pmf.sum()
+
+
+@functools.lru_cache(maxsize=16)
+def _ranked_popularity(file_object, mean_fraction):
+    """Popularity sorted most popular first, plus a memo of its prefix masses by length.
+
+    Depends only on its arguments, so one build serves every tick of every run.
+    """
+    ranked = np.sort(_poisson_pmf(file_object, mean_fraction))[::-1]
+    ranked.flags.writeable = False
+    return ranked, {}
+
+
 def _poisson_top_mass(file_object, cached_files, cfg):
     """Probability mass of the cached (most popular) files under Poisson popularity."""
-    lam = max(cfg.poisson_mean_fraction * file_object, 1e-9)
-    pmf = np.empty(file_object)
-    pmf[0] = math.exp(-lam)
-    for k in range(1, file_object):
-        pmf[k] = pmf[k - 1] * lam / k
-    pmf /= pmf.sum()
-    ranked = np.sort(pmf)[::-1]
+    ranked, prefix_mass = _ranked_popularity(file_object, cfg.poisson_mean_fraction)
     whole = int(math.floor(cached_files))
-    mass = float(ranked[:whole].sum())
+    mass = prefix_mass.get(whole)
+    if mass is None:
+        # one np.sum over the prefix, never a running total, so every bit of
+        # p_miss (and with it the RNG stream) matches an uncached evaluation
+        mass = prefix_mass[whole] = float(ranked[:whole].sum())
     if whole < file_object:
         mass += (cached_files - whole) * float(ranked[whole])
     return min(mass, 1.0)

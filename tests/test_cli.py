@@ -323,6 +323,15 @@ class TestSimulate:
     def test_default_config_matches_builtin(self):
         assert default_config() == SimConfig()
 
+    def test_poisson_law_on_large_catalog(self, tmp_path):
+        # lam = 0.25 * 4000 = 1000: exp(-lam) underflows to 0 in double precision
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("catalog_files = 4000\n")
+        out = tmp_path / "big.csv"
+        argv = ["simulate", "--config", str(cfg), "--workload", "600,2,4000,20,1000,0"]
+        assert main(argv + ["--ticks", "50", "-o", str(out)]) == 0
+        assert len(load_trace(out)["tick"]) == 51
+
 
 class TestRejuvenate:
     def test_cache_hit_restores_bandwidth(self, tmp_path, l2_trace):

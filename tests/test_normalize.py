@@ -1,5 +1,7 @@
 """Aging-degree normalization: affine maps, orientations, curve invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,35 @@ class TestNormalizeOnly:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError, match="non-finite"):
             normalize_only([1.0, float("nan")], HIGHER)
+
+    def test_span_beyond_float_range(self):
+        # high - low overflows; the map must still give exact endpoints
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            up = normalize_only([-1e308, 0.0, 1e308], HIGHER)
+            down = normalize_only([-1e308, 0.0, 1e308], LOWER)
+        assert list(up) == [0.0, 0.5, 1.0]
+        assert list(down) == [1.0, 0.5, 0.0]
+
+    def test_range_and_extremes_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30),
+            st.sampled_from([HIGHER, LOWER]),
+        )
+        def check(values, orientation):
+            hypothesis.assume(min(values) != max(values))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = normalize_only(values, orientation)
+            assert np.all((out >= 0.0) & (out <= 1.0))
+            assert out.min() == 0.0
+            assert out.max() == 1.0
+
+        check()
 
 
 class TestAgingCurve:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from agekit import simulator
 from agekit.errors import DomainError, ParseError
 from agekit.simulator import (
     NO_POLICY,
@@ -495,6 +496,83 @@ class TestRunAndExperiment:
                 ticks=120,
                 rejuvenation_tick=rejuvenation_tick,
             )
+
+
+def recursion_pmf(file_object, mean_fraction):
+    """The linear-space recursion: exp(-lam) times lam/k products, renormalized."""
+    lam = max(mean_fraction * file_object, 1e-9)
+    pmf = np.empty(file_object)
+    pmf[0] = math.exp(-lam)
+    for k in range(1, file_object):
+        pmf[k] = pmf[k - 1] * lam / k
+    return pmf / pmf.sum()
+
+
+def uncached_top_mass(file_object, cached_files, cfg):
+    """_poisson_top_mass with the pmf rebuilt and sorted on every call, and no memo."""
+    ranked = np.sort(simulator._poisson_pmf(file_object, cfg.poisson_mean_fraction))[::-1]
+    whole = int(math.floor(cached_files))
+    mass = float(ranked[:whole].sum())
+    if whole < file_object:
+        mass += (cached_files - whole) * float(ranked[whole])
+    return min(mass, 1.0)
+
+
+class TestPoissonPopularity:
+    @pytest.mark.parametrize("file_object", [1, 2, 745, 2_981, 4_000, 25_000, 100_000])
+    def test_pmf_finite_and_normalized(self, file_object):
+        pmf = simulator._poisson_pmf(file_object, 0.25)
+        assert pmf.shape == (file_object,)
+        assert np.all(np.isfinite(pmf)) and np.all(pmf >= 0.0)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert pmf[min(file_object // 4, file_object - 1)] == pmf.max()
+
+    @pytest.mark.parametrize(
+        "file_object, mean_fraction",
+        [(f, 0.25) for f in (1, 2, 3, 20, 100, 1_000, 2_000, 2_900)]
+        + [(f, 0.05) for f in (1, 20, 100, 2_900)]
+        + [(f, 1.5) for f in (1, 20, 100, 480)],
+    )
+    def test_pmf_matches_recursion(self, file_object, mean_fraction):
+        # past F = 2 900 (lam = 725) the recursion's exp(-lam) is subnormal, then 0
+        reference = recursion_pmf(file_object, mean_fraction)
+        pmf = simulator._poisson_pmf(file_object, mean_fraction)
+        assert np.max(np.abs(pmf - reference)) <= 1e-14
+
+    @pytest.mark.parametrize("file_object", [1, 2, 20, 100])
+    def test_cached_top_mass_equals_uncached(self, file_object):
+        configs = [SimConfig(), SimConfig(poisson_mean_fraction=0.6)]
+        simulator._ranked_popularity.cache_clear()
+        cached_files = [w + frac for w in range(file_object) for frac in (0.0, 0.375)]
+        cached_files.append(float(file_object))
+        # the first pass fills the prefix memos, the second reads them back
+        for _ in range(2):
+            for cfg in configs:
+                for c in cached_files:
+                    expected = uncached_top_mass(file_object, c, cfg)
+                    assert simulator._poisson_top_mass(file_object, c, cfg) == expected
+
+    @pytest.mark.parametrize("variant", list(PolicyVariant))
+    def test_traces_match_uncached_evaluation(self, variant, monkeypatch):
+        cfg = SimConfig()
+        load = parse_workload("600,2,100,20,1000,0")
+        extra = {
+            PolicyVariant.PROBABILISTIC_ADMISSION: {"admit_probability": 0.5},
+            PolicyVariant.MEM_REAP_ENLARGE: {"refcount": 15},
+        }.get(variant, {})
+        # a trigger this low arms the policy from the first tick on
+        policy = RejuvenationPolicy(variant, trigger_threshold=1e-6, **extra)
+        simulator._ranked_popularity.cache_clear()
+        cached = (
+            trace_csv(run(cfg, load, policy, ticks=2000, seed=5)),
+            apply_policy_experiment(cfg, load, policy, ticks=2000, rejuvenation_tick=700, seed=5),
+        )
+        monkeypatch.setattr(simulator, "_poisson_top_mass", uncached_top_mass)
+        uncached = (
+            trace_csv(run(cfg, load, policy, ticks=2000, seed=5)),
+            apply_policy_experiment(cfg, load, policy, ticks=2000, rejuvenation_tick=700, seed=5),
+        )
+        assert cached == uncached
 
 
 class TestTraceIO:
