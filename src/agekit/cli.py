@@ -9,6 +9,7 @@ atomically.
 
 import argparse
 import importlib.resources
+import itertools
 import os
 import sys
 
@@ -138,11 +139,13 @@ def _build_policy(parser, args):
 
 
 def _trace_chart(states, marker=None):
-    ticks = np.array([s.tick for s in states], dtype=float)
-
-    def col(attr):
-        return np.array([getattr(s, attr) for s in states])
-
+    # one pass over states; each row's tuple is freed as soon as it is read
+    rows = (
+        (s.tick, s.bandwidth_kbyte, s.working_set_mb, s.cache_mb, s.sfr_mb, s.disk_queue_len)
+        for s in states
+    )
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=6 * len(states))
+    ticks, bandwidth, working_set, cache, sfr, queue = flat.reshape(-1, 6).T
     label = "rejuvenation" if marker is not None else ""
     return render_chart(
         [
@@ -150,7 +153,7 @@ def _trace_chart(states, marker=None):
                 "bandwidth per client",
                 "tick",
                 "kbyte",
-                [Series("bandwidth", ticks, col("bandwidth_kbyte"))],
+                [Series("bandwidth", ticks, bandwidth)],
                 vline=marker,
                 vline_label=label,
             ),
@@ -159,9 +162,9 @@ def _trace_chart(states, marker=None):
                 "tick",
                 "MB",
                 [
-                    Series("working set", ticks, col("working_set_mb")),
-                    Series("cache", ticks, col("cache_mb")),
-                    Series("stale blocks", ticks, col("sfr_mb"), dashed=True),
+                    Series("working set", ticks, working_set),
+                    Series("cache", ticks, cache),
+                    Series("stale blocks", ticks, sfr, dashed=True),
                 ],
                 vline=marker,
             ),
@@ -169,7 +172,7 @@ def _trace_chart(states, marker=None):
                 "disk queue",
                 "tick",
                 "length",
-                [Series("queue", ticks, col("disk_queue_len"))],
+                [Series("queue", ticks, queue)],
                 vline=marker,
             ),
         ]

@@ -25,6 +25,19 @@ Every coupling below is a single-coefficient affine or saturating law. The
 coefficients live in SimConfig and in the shipped key=value config file; the
 defaults were calibrated once against the stable/aging reference workloads
 and are not meant to be tuned per run.
+
+One private kernel, ``_advance``, holds the tick: ``step`` runs it for one
+tick and ``run``/``apply_policy_experiment`` for a whole run. It computes once
+per call everything that (cfg, load, policy) fixes: the request count and its
+thinned twin with their activities, the file mix and churn, the file-law and
+policy-variant tests, the reclaimed fractions at the default and the policy's
+refcount threshold, the Poisson popularity with its prefix masses, and every
+coefficient as a local. The state rides from tick to tick in local floats;
+each produced state is checked by the same ``_check_state`` as
+``SimState.validate`` and built without calling the frozen ``__init__``. A
+hoisted constant is only ever the leading factor of a left-to-right product
+(the reclaim rate times a reclaimable fraction, the stale rate times churn),
+so every value is the one the laws give when evaluated term by term in order.
 """
 
 import functools
@@ -339,24 +352,38 @@ class SimState:
     bw_avg_kbyte: float
 
     def validate(self, cfg):
-        if self.tick < 0:
-            raise DomainError(f"tick must be nonnegative, got {self.tick}")
-        if not (0.0 <= self.sfr_mb <= self.cache_mb):
-            raise DomainError(f"sfr_mb {self.sfr_mb} outside [0, cache_mb={self.cache_mb}]")
-        if self.cache_mb > self.working_set_mb:
-            raise DomainError(
-                f"cache_mb {self.cache_mb} exceeds working_set_mb {self.working_set_mb}"
-            )
-        if self.working_set_mb > cfg.total_memory_mb:
-            raise DomainError(
-                f"working_set_mb {self.working_set_mb} exceeds total memory {cfg.total_memory_mb}"
-            )
-        if not (cfg.base_block_kb <= self.block_kb <= cfg.max_block_kb):
-            raise DomainError(f"block_kb {self.block_kb} outside configured range")
-        if self.disk_queue_len < 0:
-            raise DomainError(f"disk_queue_len must be nonnegative, got {self.disk_queue_len}")
-        if not (0.0 < self.bandwidth_kbyte <= cfg.bandwidth_nominal_kbyte):
-            raise DomainError(f"bandwidth_kbyte {self.bandwidth_kbyte} outside (0, nominal]")
+        _check_state(
+            cfg,
+            self.tick,
+            self.cache_mb,
+            self.working_set_mb,
+            self.disk_queue_len,
+            self.block_kb,
+            self.bandwidth_kbyte,
+            self.sfr_mb,
+        )
+
+
+def _check_state(
+    cfg, tick, cache_mb, working_set_mb, disk_queue_len, block_kb, bandwidth_kbyte, sfr_mb
+):
+    """The state invariants, checked in this order by SimState.validate and the tick kernel."""
+    if tick < 0:
+        raise DomainError(f"tick must be nonnegative, got {tick}")
+    if not (0.0 <= sfr_mb <= cache_mb):
+        raise DomainError(f"sfr_mb {sfr_mb} outside [0, cache_mb={cache_mb}]")
+    if cache_mb > working_set_mb:
+        raise DomainError(f"cache_mb {cache_mb} exceeds working_set_mb {working_set_mb}")
+    if working_set_mb > cfg.total_memory_mb:
+        raise DomainError(
+            f"working_set_mb {working_set_mb} exceeds total memory {cfg.total_memory_mb}"
+        )
+    if not (cfg.base_block_kb <= block_kb <= cfg.max_block_kb):
+        raise DomainError(f"block_kb {block_kb} outside configured range")
+    if disk_queue_len < 0:
+        raise DomainError(f"disk_queue_len must be nonnegative, got {disk_queue_len}")
+    if not (0.0 < bandwidth_kbyte <= cfg.bandwidth_nominal_kbyte):
+        raise DomainError(f"bandwidth_kbyte {bandwidth_kbyte} outside (0, nominal]")
 
 
 def memory_pressure(working_set_mb, cfg):
@@ -443,26 +470,212 @@ def _ranked_popularity(file_object, mean_fraction):
     return ranked, {}
 
 
-def _poisson_top_mass(file_object, cached_files, cfg):
-    """Probability mass of the cached (most popular) files under Poisson popularity."""
-    ranked, prefix_mass = _ranked_popularity(file_object, cfg.poisson_mean_fraction)
+def _poisson_top_mass(ranked, prefix_mass, cached_files):
+    """Probability mass of the cached (most popular) files under Poisson popularity.
+
+    ``ranked`` and ``prefix_mass`` are the pair ``_ranked_popularity`` returns.
+    """
     whole = int(math.floor(cached_files))
     mass = prefix_mass.get(whole)
     if mass is None:
         # one np.sum over the prefix, never a running total, so every bit of
         # p_miss (and with it the RNG stream) matches an uncached evaluation
         mass = prefix_mass[whole] = float(ranked[:whole].sum())
-    if whole < file_object:
+    if whole < len(ranked):
         mass += (cached_files - whole) * float(ranked[whole])
     return min(mass, 1.0)
 
 
-def _miss_probability(load, cached_files, file_object):
-    """Fraction of requests that cannot be served from cache."""
-    if load.file_dist is FileDist.SINGLE_FILE:
-        return 0.0 if cached_files >= 1.0 else 1.0
-    coverage = min(cached_files / file_object, 1.0)
-    return 1.0 - coverage
+def _reclaim_rates(threshold, cfg):
+    """Per-tick reclaimed fractions of the stale and the live pool at a refcount threshold."""
+    stale_reclaimable = 1.0 - cfg.refcount_survival ** (threshold + 1)
+    live_reclaimable = 1.0 - math.exp(-threshold / cfg.live_refcount_scale)
+    return cfg.sfr_reclaim_rate * stale_reclaimable, cfg.sfr_reclaim_rate * live_reclaimable
+
+
+def _advance(state, load, cfg, policy, ticks, policy_from, rng):
+    """The tick kernel: ``ticks`` steps from ``state`` on ``rng``.
+
+    Returns ``state`` followed by the ``ticks`` new states. The policy governs
+    the steps from step ``policy_from`` on. The caller has checked the
+    workload and ``state``; every state made here is checked.
+    """
+    # --- per-run constants ------------------------------------------------
+    variant = policy.variant
+    policed = variant is not PolicyVariant.NONE
+    trigger = policy.trigger_threshold
+    cache_hit = variant is PolicyVariant.CACHE_HIT_ADMISSION
+    thinning = variant is PolicyVariant.PROBABILISTIC_ADMISSION
+    block_reset = variant is PolicyVariant.DISK_BLOCK_RESET
+    mem_reap = variant is PolicyVariant.MEM_REAP_ENLARGE
+
+    admitted_clients = min(load.client_count, cfg.capacity_clients)
+    tick_ms = cfg.tick_seconds * 1000.0
+    requests = int(round(admitted_clients * tick_ms / max(load.sleep_time_ms, 1)))
+    # mean-value thinning keeps p=1.0 bit-identical to no policy at all
+    thinned = int(round(requests * policy.admit_probability)) if thinning else requests
+    activity = min(1.0, requests / cfg.activity_norm_requests)
+    thinned_activity = min(1.0, thinned / cfg.activity_norm_requests)
+
+    if load.file_difference is FileDifference.SAME:
+        file_object = 1
+        file_max = 1
+    else:
+        file_object = load.file_object
+        file_max = min(load.file_max_object, file_object)
+    churn = (file_object - file_max) / file_object
+    catalog = float(file_object)
+    poisson = load.file_dist is FileDist.POISSON
+    single_file = load.file_dist is FileDist.SINGLE_FILE
+    sampled = load.file_dist in (FileDist.RANDOM, FileDist.POISSON)
+    if poisson:
+        ranked, prefix_mass = _ranked_popularity(file_object, cfg.poisson_mean_fraction)
+        top_mass = _poisson_top_mass
+
+    stale_rate, live_rate = _reclaim_rates(cfg.refcount_threshold, cfg)
+    if mem_reap:
+        reap_stale_rate, reap_live_rate = _reclaim_rates(policy.refcount, cfg)
+
+    total = cfg.total_memory_mb
+    baseline = cfg.baseline_working_set_mb
+    footprint = cfg.file_footprint_mb
+    base_block = cfg.base_block_kb
+    max_block = cfg.max_block_kb
+    blocksize_ratio = cfg.blocksize_trigger_ratio
+    latency_gain = cfg.pressure_latency_gain
+    queue_keep = 1.0 - cfg.queue_drain_rate
+    queue_gain = cfg.queue_gain
+    service = cfg.queue_service_rate
+    growth_per_miss = cfg.cache_growth_mb_per_miss
+    backlog_gain = cfg.backlog_cache_gain
+    stale_churn = cfg.sfr_stale_rate * churn
+    turnover_rate = cfg.cache_turnover_rate
+    heap_growth = cfg.heap_growth_per_queue
+    heap_decay = cfg.heap_decay_rate
+    nominal = cfg.bandwidth_nominal_kbyte
+    queue_bw_gain = cfg.bandwidth_queue_gain
+    pressure_bw_gain = cfg.bandwidth_pressure_gain
+    window = cfg.trigger_window_ticks
+    binomial = rng.binomial
+    check = _check_state
+    new = object.__new__
+    set_field = object.__setattr__
+
+    # --- the state, carried as locals ---------------------------------------
+    tick = state.tick
+    cache_mb = state.cache_mb
+    working_set_mb = state.working_set_mb
+    queue_len = state.disk_queue_len
+    block_kb = state.block_kb
+    sfr_mb = state.sfr_mb
+    bw_avg = state.bw_avg_kbyte
+    # working set over total memory, and its memory_pressure(); each tick
+    # computes both for the state it makes, and the next tick reuses them
+    used = working_set_mb / total
+    pressure = memory_pressure(working_set_mb, cfg)
+
+    states = [state]
+    for i in range(ticks):
+        # aging_level() of the state this tick starts from
+        active = policed and i >= policy_from and max(0.0, 1.0 - bw_avg / nominal) >= trigger
+
+        # --- request arrivals and cache misses ---------------------------
+        if active and thinning:
+            tick_requests = thinned
+            tick_activity = thinned_activity
+        else:
+            tick_requests = requests
+            tick_activity = activity
+        live_mb = cache_mb - sfr_mb
+        if tick_requests == 0 or (active and cache_hit):
+            # cache-hit admission turns every would-be miss away at the door
+            misses = 0
+        else:
+            cached_files = min(catalog, live_mb / footprint)
+            if poisson:
+                p_miss = 1.0 - top_mass(ranked, prefix_mass, cached_files)
+            elif single_file:
+                p_miss = 0.0 if cached_files >= 1.0 else 1.0
+            else:
+                p_miss = 1.0 - min(cached_files / file_object, 1.0)
+            p_miss = min(max(p_miss, 0.0), 1.0)
+            if sampled:
+                misses = int(binomial(tick_requests, p_miss))
+            else:
+                misses = int(round(tick_requests * p_miss))
+
+        # --- block size escalation (or pinned reset) -----------------------
+        latency = 1.0 + latency_gain * pressure
+        if active and block_reset:
+            block = base_block
+        else:
+            block = block_kb
+            if block < max_block and latency > blocksize_ratio * (block / base_block):
+                block = min(block * 2.0, max_block)
+
+        # --- disk queue ------------------------------------------------------
+        demand = misses * (block / base_block) / 1000.0
+        queue = max(0.0, queue_keep * queue_len + queue_gain * (demand - service))
+
+        # --- cache, stale pool, reclaim --------------------------------------
+        damp = max(0.0, 1.0 - used)
+        # backlog data is parked in memory whether or not memory is tight; only
+        # fresh read-ahead growth is throttled by free memory
+        growth = misses * growth_per_miss * damp + backlog_gain * queue_len
+        if active and mem_reap:
+            reclaim_stale = reap_stale_rate * sfr_mb
+            reclaim_live = reap_live_rate * live_mb
+        else:
+            reclaim_stale = stale_rate * sfr_mb
+            reclaim_live = live_rate * live_mb
+        stale_gen = stale_churn * live_mb * tick_activity
+        turnover = turnover_rate * live_mb * tick_activity
+
+        sfr = max(0.0, sfr_mb + stale_gen - reclaim_stale)
+        live = max(0.0, live_mb + growth - stale_gen - turnover - reclaim_live)
+        cache = sfr + live
+
+        # --- working set beyond the cache --------------------------------------
+        heap = working_set_mb - baseline - cache_mb
+        heap = max(0.0, heap + heap_growth * queue_len * damp - heap_decay * heap)
+        working = baseline + cache + heap
+        if working > total:  # damping keeps this unreachable; stay safe
+            overflow = working - total
+            shaved = min(heap, overflow)
+            heap -= shaved
+            overflow -= shaved
+            if overflow > 0.0:
+                live = max(0.0, live - overflow)
+                cache = sfr + live
+            working = min(baseline + cache + heap, total)
+
+        # --- observable bandwidth and the trailing trigger average ------------
+        used = working / total
+        m = min(used, 0.995)
+        pressure = m / (1.0 - m)  # memory_pressure(working, cfg), inlined
+        bandwidth = nominal / (1.0 + queue_bw_gain * queue + pressure_bw_gain * pressure)
+        bw_avg += (bandwidth - bw_avg) / window
+
+        tick += 1
+        check(cfg, tick, cache, working, queue, block, bandwidth, sfr)
+        # what the frozen __init__ does, in field order, less its call overhead;
+        # a __dict__ update would give every state its own dict (+184 bytes)
+        new_state = new(SimState)
+        set_field(new_state, "tick", tick)
+        set_field(new_state, "cache_mb", cache)
+        set_field(new_state, "working_set_mb", working)
+        set_field(new_state, "disk_queue_len", queue)
+        set_field(new_state, "block_kb", block)
+        set_field(new_state, "bandwidth_kbyte", bandwidth)
+        set_field(new_state, "sfr_mb", sfr)
+        set_field(new_state, "bw_avg_kbyte", bw_avg)
+        states.append(new_state)
+        cache_mb = cache
+        working_set_mb = working
+        queue_len = queue
+        block_kb = block
+        sfr_mb = sfr
+    return states
 
 
 def step(state, load, cfg, policy=NO_POLICY, rng=None):
@@ -471,131 +684,20 @@ def step(state, load, cfg, policy=NO_POLICY, rng=None):
     validate_workload(load, cfg)
     if rng is None:
         rng = np.random.default_rng(0)
-
-    active = policy.variant is not PolicyVariant.NONE and aging_level(state, cfg) >= policy.trigger_threshold
-
-    # --- request arrivals -------------------------------------------------
-    admitted_clients = min(load.client_count, cfg.capacity_clients)
-    tick_ms = cfg.tick_seconds * 1000.0
-    requests = int(round(admitted_clients * tick_ms / max(load.sleep_time_ms, 1)))
-    if active and policy.variant is PolicyVariant.PROBABILISTIC_ADMISSION:
-        # mean-value thinning keeps p=1.0 bit-identical to no policy at all
-        requests = int(round(requests * policy.admit_probability))
-
-    # --- file mix and cache misses ---------------------------------------
-    if load.file_difference is FileDifference.SAME:
-        file_object = 1
-        file_max = 1
-    else:
-        file_object = load.file_object
-        file_max = min(load.file_max_object, file_object)
-    churn = (file_object - file_max) / file_object
-
-    live_mb = state.cache_mb - state.sfr_mb
-    cached_files = min(float(file_object), live_mb / cfg.file_footprint_mb)
-    if load.file_dist is FileDist.POISSON:
-        p_miss = 1.0 - _poisson_top_mass(file_object, cached_files, cfg)
-    else:
-        p_miss = _miss_probability(load, cached_files, file_object)
-    p_miss = min(max(p_miss, 0.0), 1.0)
-
-    if requests == 0 or (active and policy.variant is PolicyVariant.CACHE_HIT_ADMISSION):
-        # cache-hit admission turns every would-be miss away at the door
-        misses = 0
-    elif load.file_dist in (FileDist.RANDOM, FileDist.POISSON):
-        misses = int(rng.binomial(requests, p_miss))
-    else:
-        misses = int(round(requests * p_miss))
-    activity = min(1.0, requests / cfg.activity_norm_requests)
-
-    # --- block size escalation (or pinned reset) --------------------------
-    latency = read_latency(state, cfg)
-    if active and policy.variant is PolicyVariant.DISK_BLOCK_RESET:
-        block = cfg.base_block_kb
-    else:
-        block = state.block_kb
-        if block < cfg.max_block_kb and latency > cfg.blocksize_trigger_ratio * (
-            block / cfg.base_block_kb
-        ):
-            block = min(block * 2.0, cfg.max_block_kb)
-
-    # --- disk queue -------------------------------------------------------
-    demand = misses * (block / cfg.base_block_kb) / 1000.0
-    queue = max(
-        0.0,
-        (1.0 - cfg.queue_drain_rate) * state.disk_queue_len
-        + cfg.queue_gain * (demand - cfg.queue_service_rate),
-    )
-
-    # --- cache, stale pool, reclaim ---------------------------------------
-    damp = max(0.0, 1.0 - state.working_set_mb / cfg.total_memory_mb)
-    # backlog data is parked in memory whether or not memory is tight; only
-    # fresh read-ahead growth is throttled by free memory
-    growth = misses * cfg.cache_growth_mb_per_miss * damp + cfg.backlog_cache_gain * state.disk_queue_len
-    threshold = (
-        policy.refcount
-        if (active and policy.variant is PolicyVariant.MEM_REAP_ENLARGE)
-        else cfg.refcount_threshold
-    )
-    stale_reclaimable = 1.0 - cfg.refcount_survival ** (threshold + 1)
-    live_reclaimable = 1.0 - math.exp(-threshold / cfg.live_refcount_scale)
-    reclaim_stale = cfg.sfr_reclaim_rate * stale_reclaimable * state.sfr_mb
-    reclaim_live = cfg.sfr_reclaim_rate * live_reclaimable * live_mb
-    stale_gen = cfg.sfr_stale_rate * churn * live_mb * activity
-    turnover = cfg.cache_turnover_rate * live_mb * activity
-
-    sfr = max(0.0, state.sfr_mb + stale_gen - reclaim_stale)
-    live = max(0.0, live_mb + growth - stale_gen - turnover - reclaim_live)
-    cache = sfr + live
-
-    # --- working set beyond the cache --------------------------------------
-    heap = state.working_set_mb - cfg.baseline_working_set_mb - state.cache_mb
-    heap = max(
-        0.0,
-        heap + cfg.heap_growth_per_queue * state.disk_queue_len * damp - cfg.heap_decay_rate * heap,
-    )
-    working = cfg.baseline_working_set_mb + cache + heap
-    if working > cfg.total_memory_mb:  # damping keeps this unreachable; stay safe
-        overflow = working - cfg.total_memory_mb
-        shaved = min(heap, overflow)
-        heap -= shaved
-        overflow -= shaved
-        if overflow > 0.0:
-            live = max(0.0, live - overflow)
-            cache = sfr + live
-        working = min(cfg.baseline_working_set_mb + cache + heap, cfg.total_memory_mb)
-
-    # --- observable bandwidth and the trailing trigger average ------------
-    bandwidth = bandwidth_for(queue, working, cfg)
-    bw_avg = state.bw_avg_kbyte + (bandwidth - state.bw_avg_kbyte) / cfg.trigger_window_ticks
-
-    new_state = SimState(
-        tick=state.tick + 1,
-        cache_mb=cache,
-        working_set_mb=working,
-        disk_queue_len=queue,
-        block_kb=block,
-        bandwidth_kbyte=bandwidth,
-        sfr_mb=sfr,
-        bw_avg_kbyte=bw_avg,
-    )
-    new_state.validate(cfg)
-    return new_state
+    return _advance(state, load, cfg, policy, 1, 0, rng)[1]
 
 
 def _simulate(cfg, load, policy, ticks, seed, policy_from):
-    """The simulation loop: ticks steps from a fresh server on one RNG stream.
+    """One run: ticks steps from a fresh server on one RNG stream.
 
     The policy governs the steps from tick ``policy_from`` on; earlier steps
     run unpoliced. Returns ticks+1 states.
     """
     validate_workload(load, cfg)
     rng = np.random.default_rng(seed)
-    states = [init_state(cfg)]
-    for tick in range(ticks):
-        tick_policy = policy if tick >= policy_from else NO_POLICY
-        states.append(step(states[-1], load, cfg, tick_policy, rng))
-    return states
+    start = init_state(cfg)
+    start.validate(cfg)
+    return _advance(start, load, cfg, policy, ticks, policy_from, rng)
 
 
 def run(cfg, load, policy=NO_POLICY, ticks=4000, seed=0):

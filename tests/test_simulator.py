@@ -1,8 +1,10 @@
 """Unit tests for the feedback-loop server simulator."""
 
 import dataclasses
+import hashlib
 import importlib.resources
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -273,8 +275,12 @@ class TestStateAndHelpers:
     def test_validate_rejects_bad_fields(self, patch, message):
         cfg = SimConfig()
         state = dataclasses.replace(init_state(cfg), **patch)
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=message) as from_validate:
             state.validate(cfg)
+        # step checks its input with the same helper, so the same message
+        with pytest.raises(DomainError) as from_step:
+            step(state, parse_workload(AGING_LOAD), cfg)
+        assert str(from_step.value) == str(from_validate.value)
 
     def test_workload_capacity_checks(self):
         cfg = SimConfig()
@@ -498,6 +504,175 @@ class TestRunAndExperiment:
             )
 
 
+def hand_loop(cfg, load, policy, ticks, seed, policy_from):
+    """ticks public step() calls on one Generator; the policy from step policy_from on."""
+    rng = np.random.default_rng(seed)
+    states = [init_state(cfg)]
+    for tick in range(ticks):
+        tick_policy = policy if tick >= policy_from else NO_POLICY
+        states.append(step(states[-1], load, cfg, tick_policy, rng))
+    return states
+
+
+def policy_of(variant, trigger_threshold):
+    """The variant's policy, with admit probability 0.5 or refcount 15 where it takes one."""
+    extra = {
+        PolicyVariant.PROBABILISTIC_ADMISSION: {"admit_probability": 0.5},
+        PolicyVariant.MEM_REAP_ENLARGE: {"refcount": 15},
+    }.get(variant, {})
+    return RejuvenationPolicy(variant, trigger_threshold, **extra)
+
+
+# sha256 of trace_csv(run(SimConfig(), load, policy, ticks=2000, seed=s)) for
+# seeds 0, 1, 2, computed at commit 5694385, whose step() rebuilt every
+# per-run constant on each tick; they hold the tick kernel to those bytes.
+# The trigger 0.07 arms each policy on part of the run under both laws.
+PINNED_TRIGGER = 0.07
+PINNED_LAWS = {"random": "600,0,100,20,1000,0", "poisson": "600,2,100,20,1000,0"}
+PINNED_TRACE_SHA256 = {
+    ("random", "none"): (
+        "7526a88e98f4a66c6c7a8d843aa026ed2edb468a0baff1e98a4d3172faa6d52b",
+        "3fb9d659eab472abf9fee3a63762312115b4c21df1a199846c2751a3935c52ba",
+        "222008f2dcc0fa4634d23f29ca088196cbb91c62d9a5bfe19f49d3ec29ae1ecb",
+    ),
+    ("random", "cache-hit"): (
+        "4ffbe370ec7d0cadcfd656cb031bfb076a6f8f775349f4c57cdff500257bc639",
+        "4e881ce82b7fe0ebff946cb22499a36e226d6c9d2792fb2a470e466e8e0eb85c",
+        "f296368fca3ac2ecbc88cc5ec4ba0f2cbd337f492fe615b973e5b06a16c8d462",
+    ),
+    ("random", "probabilistic"): (
+        "2bc78f1582dc94bae235124b838282fd6b98aaa05038e5fc39ae64591b566e9e",
+        "791fbb9e9d980422aeaf9d6e97f10f3c752421e988c5688f32b93876b3bf3c28",
+        "35fec573f92dceeade9d79d3bdeb342341edbb758ce43bdd9da81b38932c473a",
+    ),
+    ("random", "block-reset"): (
+        "5e1df26fc18a07a44a486e3b947071bfb651aa82360cec4891a32ec379127251",
+        "bcf969e6224b52740cb196968fb2adb6db868ef4e4be5a3c61e08b65401b8a3e",
+        "9a438bdf57b0d0e425ddf0ed0da23fef0c02060f4bbf4fc364e468201173c851",
+    ),
+    ("random", "memreap"): (
+        "2f24af38f5ac96ad0c275727bd004737bcd8456e233d24543063b47c47236359",
+        "3a2fea4035073c00a73f535e728bf86ebd1a89bfae0c5fd8afce9f9667e5ff98",
+        "5d659d7cb5fa25edbd5651bed3b6cfcd047dd3fbbec59ed09e55f8a5188f72f4",
+    ),
+    ("poisson", "none"): (
+        "a72ed1658d157c82c3008cf85e998dc56e6594f46b73290e414886c8e536c1c0",
+        "a8e10c817ce8f93cd719e6c19ec060acfa2a17d43beb4599baa51a2ccf59c2e8",
+        "23e6ca52d76ebe60f515f9427aa8d591248df23db3016afdd5dfcfdd2d66d26a",
+    ),
+    ("poisson", "cache-hit"): (
+        "3434566715685c5dfdcffcea3817fc9117302e3b8d7bef5d6fa617ee07ed5ac3",
+        "aecf93b8b089555adde1baff2269642ece16c5920cf072d174dcfc100112e5e6",
+        "b0d671183404b3c28aad60daaea4cea930821933854d348ccd4de9f6e428d9fe",
+    ),
+    ("poisson", "probabilistic"): (
+        "ccfbdec56fea3cf547af0699d9b442814acfafd86213fb23724ecf6b0ef88a22",
+        "4625a7f02f72e5be21a7ec245f38b32fb186d18c6d0c87723c6989ea7dabe3f0",
+        "a60f0802251d30ab12ac87ea6e1dce0202bd460501c7766146282be3496e4adc",
+    ),
+    ("poisson", "block-reset"): (
+        "a72ed1658d157c82c3008cf85e998dc56e6594f46b73290e414886c8e536c1c0",
+        "a8e10c817ce8f93cd719e6c19ec060acfa2a17d43beb4599baa51a2ccf59c2e8",
+        "23e6ca52d76ebe60f515f9427aa8d591248df23db3016afdd5dfcfdd2d66d26a",
+    ),
+    ("poisson", "memreap"): (
+        "965c0511d767f1a6842694b9d12c50b05557d1be18b52c039e374458df7b6495",
+        "340f7a9594dbdea2e812ba192e9432f8ab8c45b317540fccb64f337992afa59f",
+        "c04c402ea250e2072ba22ee2bc470ae113320780ffff2f82ce9a14f4117fdc70",
+    ),
+}
+
+
+class TestTickKernel:
+    def test_run_and_experiment_equal_hand_loop_of_steps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def workloads(draw):
+            file_object = draw(st.integers(1, 100))
+            return WorkloadSpec(
+                draw(st.integers(0, 900)),
+                draw(st.sampled_from(list(FileDist))),
+                file_object,
+                draw(st.integers(1, file_object)),
+                draw(st.integers(1, 2000)),
+                draw(st.sampled_from(list(FileDifference))),
+            )
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            workloads(),
+            st.sampled_from(list(PolicyVariant)),
+            st.floats(0.01, 0.2),
+            st.integers(2, 400),
+            st.integers(0, 2**32 - 1),
+            st.floats(0.0, 1.0, exclude_max=True),
+        )
+        def check(load, variant, trigger, ticks, seed, split):
+            cfg = SimConfig()
+            policy = policy_of(variant, trigger)
+            expected = hand_loop(cfg, load, policy, ticks, seed, 0)
+            assert run(cfg, load, policy, ticks, seed) == expected
+            switch = 1 + int(split * (ticks - 1))
+            before, after = apply_policy_experiment(cfg, load, policy, ticks, switch, seed)
+            assert before + after == hand_loop(cfg, load, policy, ticks, seed, switch)
+
+        check()
+
+    @pytest.mark.parametrize("law, policy", sorted(PINNED_TRACE_SHA256))
+    def test_traces_match_pinned_digests(self, law, policy):
+        cfg = SimConfig()
+        load = parse_workload(PINNED_LAWS[law])
+        variant = PolicyVariant(policy)
+        digests = tuple(
+            hashlib.sha256(
+                trace_csv(run(cfg, load, policy_of(variant, PINNED_TRIGGER), 2000, seed)).encode()
+            ).hexdigest()
+            for seed in (0, 1, 2)
+        )
+        assert digests == PINNED_TRACE_SHA256[law, policy]
+
+    def test_one_check_guards_every_input_and_produced_state(self, monkeypatch):
+        checked = []
+        real_check = simulator._check_state
+
+        def recording_check(cfg, tick, *values):
+            checked.append(tick)
+            real_check(cfg, tick, *values)
+
+        monkeypatch.setattr(simulator, "_check_state", recording_check)
+        cfg = SimConfig()
+        load = parse_workload(AGING_LOAD)
+        run(cfg, load, ticks=5)
+        assert checked == [0, 1, 2, 3, 4, 5]
+        checked.clear()
+        step(init_state(cfg), load, cfg)
+        assert checked == [0, 1]
+
+    def test_kernel_states_are_ordinary_frozen_states(self):
+        cfg = SimConfig()
+        state = run(cfg, parse_workload(AGING_LOAD), ticks=3)[-1]
+        rebuilt = SimState(**dataclasses.asdict(state))
+        assert state == rebuilt
+        assert hash(state) == hash(rebuilt)
+        assert repr(state) == repr(rebuilt)
+        assert pickle.dumps(state) == pickle.dumps(rebuilt)
+        assert pickle.loads(pickle.dumps(state)) == state
+        assert dataclasses.replace(state, tick=9) == dataclasses.replace(rebuilt, tick=9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.cache_mb = 1.0
+
+    def test_step_is_pure_and_defaults_to_seed_zero(self):
+        cfg = SimConfig()
+        load = parse_workload(AGING_LOAD)
+        state = init_state(cfg)
+        first = step(state, load, cfg)
+        assert step(state, load, cfg) == first
+        assert step(state, load, cfg, NO_POLICY, np.random.default_rng(0)) == first
+        assert state == init_state(cfg)
+
+
 def recursion_pmf(file_object, mean_fraction):
     """The linear-space recursion: exp(-lam) times lam/k products, renormalized."""
     lam = max(mean_fraction * file_object, 1e-9)
@@ -548,26 +723,29 @@ class TestPoissonPopularity:
         # the first pass fills the prefix memos, the second reads them back
         for _ in range(2):
             for cfg in configs:
+                ranked, prefix_mass = simulator._ranked_popularity(
+                    file_object, cfg.poisson_mean_fraction
+                )
                 for c in cached_files:
                     expected = uncached_top_mass(file_object, c, cfg)
-                    assert simulator._poisson_top_mass(file_object, c, cfg) == expected
+                    assert simulator._poisson_top_mass(ranked, prefix_mass, c) == expected
 
     @pytest.mark.parametrize("variant", list(PolicyVariant))
     def test_traces_match_uncached_evaluation(self, variant, monkeypatch):
         cfg = SimConfig()
         load = parse_workload("600,2,100,20,1000,0")
-        extra = {
-            PolicyVariant.PROBABILISTIC_ADMISSION: {"admit_probability": 0.5},
-            PolicyVariant.MEM_REAP_ENLARGE: {"refcount": 15},
-        }.get(variant, {})
         # a trigger this low arms the policy from the first tick on
-        policy = RejuvenationPolicy(variant, trigger_threshold=1e-6, **extra)
+        policy = policy_of(variant, trigger_threshold=1e-6)
         simulator._ranked_popularity.cache_clear()
         cached = (
             trace_csv(run(cfg, load, policy, ticks=2000, seed=5)),
             apply_policy_experiment(cfg, load, policy, ticks=2000, rejuvenation_tick=700, seed=5),
         )
-        monkeypatch.setattr(simulator, "_poisson_top_mass", uncached_top_mass)
+        monkeypatch.setattr(
+            simulator,
+            "_poisson_top_mass",
+            lambda ranked, prefix_mass, c: uncached_top_mass(len(ranked), c, cfg),
+        )
         uncached = (
             trace_csv(run(cfg, load, policy, ticks=2000, seed=5)),
             apply_policy_experiment(cfg, load, policy, ticks=2000, rejuvenation_tick=700, seed=5),
