@@ -12,41 +12,18 @@ another checkout's src/ sweeps that checkout with the same inputs. Not part
 of the test suite: building the largest trace takes seconds.
 """
 
-import hashlib
-import json
 import os
-import platform
 import tempfile
-import time
-from pathlib import Path
 
 import numpy as np
 
-import agekit
 from agekit.simulator import SimConfig, load_trace, parse_workload, run, trace_csv, write_trace
 from agekit.timeseries import MetricSeries, Orientation, load_series, save_series
+from harness import best_time, report
 
 WORKLOAD = "600,0,100,20,1000,0"
 SIZES = (1_000, 4_000, 16_000, 172_800)
-REPEATS = 3
 SEED = 0
-
-
-def best_time(call):
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def source_digest():
-    """Short sha256 over agekit's modules, naming the code that was timed."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(agekit.__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + path.read_bytes())
-    return digest.hexdigest()[:16]
 
 
 def row(layer, n, seconds):
@@ -81,14 +58,7 @@ def main():
                     best_time(lambda: load_series(series, "series", Orientation.HIGHER_IS_WORSE)),
                 )
             )
-    env = {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "src_sha256": source_digest(),
-    }
-    print(json.dumps({"env": env, "seed": SEED, "repeats": REPEATS, "results": rows}, indent=1))
+    report(rows, seed=SEED)
 
 
 if __name__ == "__main__":

@@ -11,20 +11,12 @@ checkout with the same inputs. Not part of the test suite: the largest sizes
 take minutes on code that is quadratic in n.
 """
 
-import hashlib
-import json
-import os
-import platform
-import time
-from pathlib import Path
-
 import numpy as np
 
-import agekit
 from agekit.smoothing import lowess_values
+from harness import best_time, report
 
 SIZES = (1_000, 4_000, 16_000, 64_000)
-REPEATS = 3
 SEED = 0
 
 
@@ -35,23 +27,6 @@ def grid(kind, n):
     return np.cumsum(rng.uniform(20.0, 100.0, n)) / 3600
 
 
-def best_time(t, values, robust_iterations):
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        lowess_values(t, values, 0.3, robust_iterations)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def source_digest():
-    """Short sha256 over agekit's modules, naming the code that was timed."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(agekit.__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
 def main():
     cases = [(kind, n, 0) for kind in ("uniform", "irregular") for n in SIZES]
     cases.append(("uniform", 4_000, 2))
@@ -60,7 +35,7 @@ def main():
         t = grid(kind, n)
         noise = np.random.default_rng(SEED + 1).normal(0.0, 2.0, n)
         values = 60.0 - 40.0 * np.tanh(t / 20.0) + noise
-        seconds = best_time(t, values, robust_iterations)
+        seconds = best_time(lambda: lowess_values(t, values, 0.3, robust_iterations))
         rows.append(
             {
                 "grid": kind,
@@ -69,14 +44,7 @@ def main():
                 "best_s": round(seconds, 6),
             }
         )
-    env = {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "src_sha256": source_digest(),
-    }
-    print(json.dumps({"env": env, "fraction": 0.3, "repeats": REPEATS, "results": rows}, indent=1))
+    report(rows, fraction=0.3)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ atomically.
 """
 
 import argparse
-import importlib.resources
 import itertools
 import os
 import sys
@@ -23,6 +22,7 @@ from .simulator import (
     NO_POLICY,
     PolicyVariant,
     RejuvenationPolicy,
+    SimConfig,
     aging_degree,
     apply_policy_experiment,
     load_sim_config,
@@ -45,9 +45,8 @@ L2_WORKLOAD = "600,0,100,20,1000,0"
 
 
 def default_config():
-    """The simulator configuration shipped with the package."""
-    path = importlib.resources.files("agekit").joinpath("data/defaults.cfg")
-    return load_sim_config(str(path))
+    """The simulator configuration used when --config is not given."""
+    return SimConfig()
 
 
 def _resolve_config(args):
@@ -212,7 +211,7 @@ def cmd_report(args):
 
 
 def _add_simulation_flags(sub):
-    sub.add_argument("--config", help="simulator config file (default: shipped defaults)")
+    sub.add_argument("--config", help="key=value file overriding SimConfig defaults")
     sub.add_argument(
         "--workload",
         default=L2_WORKLOAD,
@@ -303,7 +302,7 @@ def build_parser():
         "report", help="fit the aging model to a simulator trace's bandwidth"
     )
     sub.add_argument("input", help="trace CSV produced by simulate/rejuvenate")
-    sub.add_argument("--config", help="simulator config file (default: shipped defaults)")
+    sub.add_argument("--config", help="key=value file overriding SimConfig defaults")
     sub.add_argument("-o", "--output", required=True, help="report CSV path")
     sub.add_argument("--svg", help="optional chart path")
 

@@ -27,6 +27,8 @@ K_MIN = 1e-12
 LAMBDA_START = 1e-3
 LAMBDA_MAX = 1e15
 LAMBDA_MIN = 1e-15
+STEP_TOL = 1e-10  # converged: largest relative parameter step below this
+GRADIENT_TOL = 1e-10  # converged: gradient infinity-norm below this
 
 FIT_REPORT_HEADER = ("name", "K", "alpha", "beta", "rmse", "r_square")
 
@@ -77,12 +79,12 @@ class LMResult:
     ssr_path: tuple  # SSR at start, then after each accepted step
 
 
-def levenberg_marquardt(t, y, start, max_iterations=200, step_tol=1e-10, gradient_tol=1e-10):
+def levenberg_marquardt(t, y, start, max_iterations=200):
     """Minimize the untransformed SSR from ``start``, clamped to the valid cone.
 
     Damping starts at 1e-3, grows tenfold on a rejected step and shrinks
     tenfold on an accepted one. Convergence means the relative parameter step
-    or the gradient infinity-norm dropped below tolerance.
+    dropped below STEP_TOL or the gradient infinity-norm below GRADIENT_TOL.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -98,7 +100,7 @@ def levenberg_marquardt(t, y, start, max_iterations=200, step_tol=1e-10, gradien
 
     for iterations in range(1, max_iterations + 1):
         gradient = jac.T @ residual
-        if np.max(np.abs(gradient)) < gradient_tol:
+        if np.max(np.abs(gradient)) < GRADIENT_TOL:
             converged = True
             iterations -= 1
             break
@@ -123,15 +125,13 @@ def levenberg_marquardt(t, y, start, max_iterations=200, step_tol=1e-10, gradien
                 ssr_path.append(ssr)
                 lam = max(lam / 10.0, LAMBDA_MIN)
                 accepted = True
-                if rel_step < step_tol:
+                if rel_step < STEP_TOL:
                     converged = True
                 break
             lam *= 10.0
-        if not accepted:
-            # damping exhausted without progress: gradient may still be tiny
-            converged = converged or np.max(np.abs(jac.T @ residual)) < gradient_tol
-            break
-        if converged:
+        if converged or not accepted:
+            # no step accepted: damping ran out at the theta whose gradient the
+            # loop head found too large, a stall rather than convergence
             break
 
     return LMResult(
@@ -169,7 +169,7 @@ def _initial_guess(t, y):
     return np.array([k0, max(float(coef[1]), 0.0), max(float(coef[2]), 0.0)])
 
 
-def fit(curve, max_iterations=200):
+def fit(curve):
     """Fit the growth law to an aging curve and report goodness of fit.
 
     ``converged=False`` is a report outcome, not an exception; degenerate
@@ -189,7 +189,7 @@ def fit(curve, max_iterations=200):
         raise DomainError("degenerate curve: constant aging degree cannot be fitted")
 
     start = _initial_guess(t, y)
-    result = levenberg_marquardt(t, y, start, max_iterations=max_iterations)
+    result = levenberg_marquardt(t, y, start)
     model = FeedbackLoopModel(*(float(p) for p in result.theta))
     predicted = eval_model(model, t)
     return FitReport(

@@ -22,13 +22,14 @@ admit only cache hits, admit a fixed fraction of requests, pin the block size
 back to base, or enlarge the reclaim threshold.
 
 Every coupling below is a single-coefficient affine or saturating law. The
-coefficients live in SimConfig and in the shipped key=value config file; the
-defaults were calibrated once against the stable/aging reference workloads
-and are not meant to be tuned per run.
+coefficients live in SimConfig; the defaults were calibrated once against the
+stable/aging reference workloads and are not meant to be tuned per run.
 
-One private kernel, ``_advance``, holds the tick: ``step`` runs it for one
-tick and ``run``/``apply_policy_experiment`` for a whole run. It computes once
-per call everything that (cfg, load, policy) fixes: the request count and its
+One private kernel, ``_advance``, holds the tick and runs one policy per
+call: ``step`` runs it for one tick, ``run`` for a whole run, and
+``apply_policy_experiment`` twice on one Generator, unpoliced up to the
+rejuvenation tick and then under the policy. It computes once per call
+everything that (cfg, load, policy) fixes: the request count and its
 thinned twin with their activities, the file mix and churn, the file-law and
 policy-variant tests, the reclaimed fractions at the default and the policy's
 refcount threshold, the Poisson popularity with its prefix masses, and every
@@ -138,33 +139,33 @@ class SimConfig:
     """Server capacity constants plus one coefficient per coupling law."""
 
     # capacity and protocol constants
-    catalog_files: int = 100
-    total_memory_mb: float = 1100.0
-    base_block_kb: float = 4.0
-    max_block_kb: float = 16.0
-    bandwidth_nominal_kbyte: float = 120.0
-    bandwidth_fail_kbyte: float = 30.0
-    capacity_clients: int = 900
-    refcount_threshold: int = 0
+    catalog_files: int = 100  # distinct media files the server hosts
+    total_memory_mb: float = 1100.0  # hard ceiling for the working set
+    base_block_kb: float = 4.0  # disk read block size when healthy
+    max_block_kb: float = 16.0  # block escalation cap
+    bandwidth_nominal_kbyte: float = 120.0  # per-client delivery rate when healthy
+    bandwidth_fail_kbyte: float = 30.0  # below this the service has failed
+    capacity_clients: int = 900  # admission limit
+    refcount_threshold: int = 0  # default reclaimer frees blocks at or below this refcount
     tick_seconds: float = 15.0
     # initial memory layout
     initial_cache_mb: float = 80.0
     baseline_working_set_mb: float = 520.0
     # request -> cache coupling
-    file_footprint_mb: float = 5.0
+    file_footprint_mb: float = 5.0  # cache that fully covers one file
     cache_growth_mb_per_miss: float = 0.0003
-    backlog_cache_gain: float = 0.001
-    cache_turnover_rate: float = 0.001
+    backlog_cache_gain: float = 0.001  # queued-but-unconsumed data entering the cache
+    cache_turnover_rate: float = 0.001  # fraction of the live cache replaced per tick
     # stale-block (software free radical) generation and reclaim
-    sfr_stale_rate: float = 0.004
-    sfr_reclaim_rate: float = 0.02
-    refcount_survival: float = 0.85
-    live_refcount_scale: float = 30.0
+    sfr_stale_rate: float = 0.004  # churn-driven stale-block production
+    sfr_reclaim_rate: float = 0.02  # reclaim speed for eligible blocks
+    refcount_survival: float = 0.85  # P(stale block refcount >= k) = survival^k
+    live_refcount_scale: float = 30.0  # refcount spread of live (non-stale) blocks
     # memory -> latency -> block size
     pressure_latency_gain: float = 2.0
-    blocksize_trigger_ratio: float = 6.0
+    blocksize_trigger_ratio: float = 6.0  # latency multiple that doubles the block
     # disk queue service
-    queue_service_rate: float = 8.0
+    queue_service_rate: float = 8.0  # MB/s the disk subsystem absorbs
     queue_drain_rate: float = 0.1
     queue_gain: float = 1.0
     # working-set growth beyond the cache (sessions, buffers, fragmentation)
@@ -174,8 +175,8 @@ class SimConfig:
     bandwidth_queue_gain: float = 0.002
     bandwidth_pressure_gain: float = 0.06
     # workload shape
-    poisson_mean_fraction: float = 0.25
-    activity_norm_requests: float = 1000.0
+    poisson_mean_fraction: float = 0.25  # hot-set size under the Poisson file law
+    activity_norm_requests: float = 1000.0  # requests per tick treated as full activity
     # rejuvenation trigger smoothing window (ticks)
     trigger_window_ticks: int = 200
 
@@ -237,9 +238,10 @@ class SimConfig:
 
 
 def load_sim_config(path):
-    """Parse a flat key=value config file; unknown keys are parse errors.
+    """Parse a flat key=value file of SimConfig overrides; unknown keys are parse errors.
 
-    Each value is parsed as its SimConfig field's annotated type (int or float).
+    Each value is parsed as its SimConfig field's annotated type (int or float);
+    fields the file leaves out keep their defaults.
     """
     kinds = {f.name: f.type for f in fields(SimConfig)}
     overrides = {}
@@ -493,12 +495,11 @@ def _reclaim_rates(threshold, cfg):
     return cfg.sfr_reclaim_rate * stale_reclaimable, cfg.sfr_reclaim_rate * live_reclaimable
 
 
-def _advance(state, load, cfg, policy, ticks, policy_from, rng):
-    """The tick kernel: ``ticks`` steps from ``state`` on ``rng``.
+def _advance(state, load, cfg, policy, ticks, rng):
+    """The tick kernel: ``ticks`` steps from ``state`` under ``policy`` on ``rng``.
 
-    Returns ``state`` followed by the ``ticks`` new states. The policy governs
-    the steps from step ``policy_from`` on. The caller has checked the
-    workload and ``state``; every state made here is checked.
+    Returns ``state`` followed by the ``ticks`` new states. The caller has
+    checked the workload and ``state``; every state made here is checked.
     """
     # --- per-run constants ------------------------------------------------
     variant = policy.variant
@@ -575,9 +576,9 @@ def _advance(state, load, cfg, policy, ticks, policy_from, rng):
     pressure = memory_pressure(working_set_mb, cfg)
 
     states = [state]
-    for i in range(ticks):
+    for _ in range(ticks):
         # aging_level() of the state this tick starts from
-        active = policed and i >= policy_from and max(0.0, 1.0 - bw_avg / nominal) >= trigger
+        active = policed and max(0.0, 1.0 - bw_avg / nominal) >= trigger
 
         # --- request arrivals and cache misses ---------------------------
         if active and thinning:
@@ -684,27 +685,17 @@ def step(state, load, cfg, policy=NO_POLICY, rng=None):
     validate_workload(load, cfg)
     if rng is None:
         rng = np.random.default_rng(0)
-    return _advance(state, load, cfg, policy, 1, 0, rng)[1]
-
-
-def _simulate(cfg, load, policy, ticks, seed, policy_from):
-    """One run: ticks steps from a fresh server on one RNG stream.
-
-    The policy governs the steps from tick ``policy_from`` on; earlier steps
-    run unpoliced. Returns ticks+1 states.
-    """
-    validate_workload(load, cfg)
-    rng = np.random.default_rng(seed)
-    start = init_state(cfg)
-    start.validate(cfg)
-    return _advance(start, load, cfg, policy, ticks, policy_from, rng)
+    return _advance(state, load, cfg, policy, 1, rng)[1]
 
 
 def run(cfg, load, policy=NO_POLICY, ticks=4000, seed=0):
     """Simulate ticks steps from a fresh server; returns ticks+1 states."""
     if ticks < 0:
         raise DomainError(f"ticks must be nonnegative, got {ticks}")
-    return _simulate(cfg, load, policy, ticks, seed, policy_from=0)
+    validate_workload(load, cfg)
+    start = init_state(cfg)
+    start.validate(cfg)
+    return _advance(start, load, cfg, policy, ticks, np.random.default_rng(seed))
 
 
 def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0):
@@ -716,8 +707,13 @@ def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0)
         raise DomainError(
             f"rejuvenation_tick must fall inside (0, {ticks}), got {rejuvenation_tick}"
         )
-    states = _simulate(cfg, load, policy, ticks, seed, policy_from=rejuvenation_tick)
-    return states[: rejuvenation_tick + 1], states[rejuvenation_tick + 1 :]
+    validate_workload(load, cfg)
+    start = init_state(cfg)
+    start.validate(cfg)
+    rng = np.random.default_rng(seed)
+    before = _advance(start, load, cfg, NO_POLICY, rejuvenation_tick, rng)
+    after = _advance(before[-1], load, cfg, policy, ticks - rejuvenation_tick, rng)
+    return before, after[1:]
 
 
 def trace_csv(states):

@@ -8,7 +8,6 @@ The output is a complete, well-formed SVG document.
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -22,6 +21,11 @@ MARGIN_TOP = 28.0
 MARGIN_BOTTOM = 40.0
 
 FONT = 'font-family="sans-serif" font-size="11"'
+
+
+def escape(text):
+    """Escape &, < and > for SVG text content (attribute quotes are left alone)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)
