@@ -4,9 +4,15 @@ Charts are built as vertically stacked panels. Each panel draws its own
 axes with numeric tick labels, one polyline per series, a small legend,
 and an optional dashed vertical marker (used for rejuvenation ticks).
 The output is a complete, well-formed SVG document.
+
+A series past 4 points per 1-px column of the plot area (2 720 points at
+the default width) is M4-reduced before it is drawn: each column keeps its
+first, last, min-y and max-y point, which rasterises as the full series
+does. A series at or under that cap is drawn point for point.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,29 +70,51 @@ class Panel:
 
 
 def nice_ticks(lo, hi, target=5):
-    """Round tick positions on the 1-2-5 ladder covering [lo, hi]."""
+    """Round tick positions on the 1-2-5 ladder covering [lo, hi].
+
+    A degenerate span, or one too narrow to step through at its magnitude
+    (a step under half an ulp of the values), is padded around its middle.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("tick range must be finite")
     if hi < lo:
         lo, hi = hi, lo
-    if hi == lo:
-        # degenerate span: pad around the value
-        pad = max(1.0, abs(lo) * 0.1)
-        lo, hi = lo - pad, hi + pad
-    raw_step = (hi - lo) / max(target, 1)
+    ticks = _ladder(lo, hi, target) if hi > lo else None
+    if ticks is None:
+        mid = lo + (hi - lo) / 2
+        pad = max(1.0, abs(mid) * 0.1)
+        top = sys.float_info.max
+        ticks = _ladder(max(mid - pad, -top), min(mid + pad, top), target)
+    return ticks
+
+
+def _ladder(lo, hi, target):
+    """Ticks for lo < hi, or None when the step does not advance the values."""
+    count = max(target, 1)
+    raw_step = (hi - lo) / count
+    if math.isinf(raw_step):
+        # the span itself overflows; its share per tick does not
+        raw_step = hi / count - lo / count
+    if raw_step == 0.0:
+        return None
     mag = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if raw_step <= step:
             break
+    if step == 0.0:
+        return None
     first = math.ceil(lo / step) * step
+    end = min(hi + step * 1e-9, sys.float_info.max)
     ticks = []
     value = first
-    while value <= hi + step * 1e-9:
+    while value <= end:
         # snap tiny float residue so labels read 0 rather than 1.2e-16
         if abs(value) < step * 1e-9:
             value = 0.0
         ticks.append(value)
+        if value + step == value:
+            return None
         value += step
     return ticks
 
@@ -94,6 +122,29 @@ def nice_ticks(lo, hi, target=5):
 def format_tick(value):
     text = f"{value:.6g}"
     return "0" if text == "-0" else text
+
+
+def _m4_indices(column, y):
+    """Indices of the first, min-y, max-y and last point of each run of equal ``column``.
+
+    M4 aggregation (Jugel et al., PVLDB 7(10), 2014): a line through these
+    points alone covers the same pixels as one through every point, because
+    within a 1-px column only the entry, exit and extreme points show. Runs
+    are consecutive, so for non-decreasing x each run is one column. The
+    indices come back ascending and without duplicates.
+    """
+    first = np.concatenate(([True], column[1:] != column[:-1]))
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    index = np.arange(len(y))
+    keep = first.copy()
+    keep[starts[1:] - 1] = True
+    keep[-1] = True
+    for extreme in (np.minimum, np.maximum):
+        hit = y == extreme.reduceat(y, starts)[run]
+        # each run's first hit; every run has one
+        keep[np.minimum.reduceat(np.where(hit, index, len(y)), starts)] = True
+    return np.flatnonzero(keep)
 
 
 def _data_range(values, pad_fraction=0.05):
@@ -183,12 +234,17 @@ def _render_panel(panel, top, width, height, parts):
                 f'fill="#d62728">{escape(panel.vline_label)}</text>'
             )
 
+    columns = max(int(plot_w), 1)
     for index, series in enumerate(panel.series):
         color = PALETTE[index % len(PALETTE)]
         dash = ' stroke-dasharray="6,3"' if series.dashed else ""
-        points = " ".join(
-            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(series.x, series.y)
-        )
+        xs = px(series.x)
+        ys = py(series.y)
+        if len(xs) > 4 * columns:
+            column = np.clip(np.floor(xs - plot_left), 0, columns - 1)
+            keep = _m4_indices(column, series.y)
+            xs, ys = xs[keep], ys[keep]
+        points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"{dash}/>'
