@@ -7,9 +7,14 @@ first: a linear initializer (ordinary least squares on ln y = ln K + alpha*t
 
     S(K, alpha, beta) = sum_i (y_i - K * exp(alpha*t_i) * t_i**beta)^2.
 
-Parameters are projected onto K > 0, alpha >= 0, beta >= 0 after every step,
-and a step is only accepted when it lowers S, so the accepted-step S sequence
-is nonincreasing by construction.
+The refiner is a projected LM with an active set (Kanzow, Yamashita &
+Fukushima 2004): a parameter at its lower bound (K_MIN, alpha = 0, beta = 0)
+whose descent direction points out of the domain is held there, the step is
+solved on the free parameters and projected onto the bounds, and it is only
+accepted when it lowers S, so the accepted-step S sequence is nonincreasing by
+construction. It stops, as MINPACK's gtol test does (More 1978), once every
+free Jacobian column is nearly orthogonal to the residual: the test is on a
+cosine, so it holds at any scale of t, y or n.
 """
 
 import csv
@@ -28,7 +33,9 @@ LAMBDA_START = 1e-3
 LAMBDA_MAX = 1e15
 LAMBDA_MIN = 1e-15
 STEP_TOL = 1e-10  # converged: largest relative parameter step below this
-GRADIENT_TOL = 1e-10  # converged: gradient infinity-norm below this
+GRADIENT_TOL = 1e-8  # converged: largest free residual-column cosine below this
+PARAMETERS = ("K", "alpha", "beta")
+LOWER_BOUNDS = np.array([K_MIN, 0.0, 0.0])
 
 FIT_REPORT_HEADER = ("name", "K", "alpha", "beta", "rmse", "r_square")
 
@@ -66,7 +73,14 @@ def _model_and_jacobian(theta, t, log_t):
 
 
 def _project(theta):
-    return np.array([max(theta[0], K_MIN), max(theta[1], 0.0), max(theta[2], 0.0)])
+    return np.maximum(theta, LOWER_BOUNDS)
+
+
+def _largest_cosine(gradient, diag, ssr, free):
+    """Largest |J_j^T r| / (||J_j|| ||r||) over the free columns j, 0 when none."""
+    denominator = np.sqrt(diag) * np.sqrt(ssr)
+    cosines = np.abs(gradient) / np.where(denominator > 0.0, denominator, 1.0)
+    return float(np.max(cosines, initial=0.0, where=free))
 
 
 @dataclass(frozen=True)
@@ -77,14 +91,25 @@ class LMResult:
     converged: bool
     iterations: int
     ssr_path: tuple  # SSR at start, then after each accepted step
+    gradient_cosine: float  # largest free-column cosine at theta
+    active_bounds: tuple  # names of the parameters frozen at their lower bound at theta
 
 
 def levenberg_marquardt(t, y, start, max_iterations=200):
-    """Minimize the untransformed SSR from ``start``, clamped to the valid cone.
+    """Minimize the untransformed SSR from ``start`` over K >= K_MIN, alpha, beta >= 0.
 
-    Damping starts at 1e-3, grows tenfold on a rejected step and shrinks
-    tenfold on an accepted one. Convergence means the relative parameter step
-    dropped below STEP_TOL or the gradient infinity-norm below GRADIENT_TOL.
+    Each iteration freezes the active set: every parameter at its lower bound
+    whose descent direction (J^T r)_j points out of the domain. The damped
+    normal equations are solved on the other, free parameters, the step is
+    projected back onto the bounds, and it is accepted only if it lowers the
+    SSR. Damping starts at 1e-3, grows tenfold on a rejected step and shrinks
+    tenfold on an accepted one.
+
+    Convergence means the largest cosine between the residual and a free
+    Jacobian column, |J_j^T r| / (||J_j|| ||r||), fell below GRADIENT_TOL (a
+    scale-free first-order test), or the relative parameter step fell below
+    STEP_TOL. A step that no damping makes acceptable is a stall, not
+    convergence.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -96,27 +121,37 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     ssr_path = [ssr]
     lam = LAMBDA_START
     converged = False
+    stalled = False
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
+    while True:
         gradient = jac.T @ residual
-        if np.max(np.abs(gradient)) < GRADIENT_TOL:
-            converged = True
-            iterations -= 1
-            break
         hessian = jac.T @ jac
-        diag = np.diag(hessian).copy()
-        diag[diag <= 0.0] = 1e-30  # keep the damping matrix positive
-        accepted = False
+        diag = np.diag(hessian)
+        free = (theta > LOWER_BOUNDS) | (gradient > 0.0)
+        cosine = _largest_cosine(gradient, diag, ssr, free)
+        if cosine < GRADIENT_TOL:
+            converged = True
+        if converged or stalled or iterations == max_iterations:
+            break
+        iterations += 1
+        index = np.flatnonzero(free)
+        reduced = hessian[np.ix_(index, index)]
+        damping = np.diag(np.maximum(diag[index], 1e-30))  # keep it positive
+        stalled = True
         while lam <= LAMBDA_MAX:
+            system = reduced + lam * damping
             try:
-                delta = np.linalg.solve(hessian + lam * np.diag(diag), gradient)
+                solved = np.linalg.solve(system, gradient[index])
             except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(hessian + lam * np.diag(diag), gradient, rcond=None)[0]
+                solved = np.linalg.lstsq(system, gradient[index], rcond=None)[0]
+            delta = np.zeros_like(theta)
+            delta[index] = solved
             candidate = _project(theta + delta)
-            f_new, jac_new = _model_and_jacobian(candidate, t, log_t)
-            residual_new = y - f_new
-            ssr_new = float(residual_new @ residual_new)
+            with np.errstate(over="ignore", invalid="ignore"):  # such a step is rejected below
+                f_new, jac_new = _model_and_jacobian(candidate, t, log_t)
+                residual_new = y - f_new
+                ssr_new = float(residual_new @ residual_new)
             if np.isfinite(ssr_new) and ssr_new < ssr:
                 step = np.abs(candidate - theta)
                 scale = np.maximum(np.abs(candidate), np.abs(theta))
@@ -124,18 +159,18 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
                 theta, f, jac, residual, ssr = candidate, f_new, jac_new, residual_new, ssr_new
                 ssr_path.append(ssr)
                 lam = max(lam / 10.0, LAMBDA_MIN)
-                accepted = True
-                if rel_step < STEP_TOL:
-                    converged = True
+                stalled = False
+                converged = rel_step < STEP_TOL
                 break
             lam *= 10.0
-        if converged or not accepted:
-            # no step accepted: damping ran out at the theta whose gradient the
-            # loop head found too large, a stall rather than convergence
-            break
 
     return LMResult(
-        theta=theta, converged=converged, iterations=iterations, ssr_path=tuple(ssr_path)
+        theta=theta,
+        converged=converged,
+        iterations=iterations,
+        ssr_path=tuple(ssr_path),
+        gradient_cosine=cosine,
+        active_bounds=tuple(name for name, is_free in zip(PARAMETERS, free) if not is_free),
     )
 
 
@@ -149,6 +184,8 @@ class FitReport:
     n_samples: int
     converged: bool
     iterations: int
+    gradient_cosine: float
+    active_bounds: tuple
 
 
 def _initial_guess(t, y):
@@ -199,6 +236,8 @@ def fit(curve):
         n_samples=len(t),
         converged=result.converged,
         iterations=result.iterations,
+        gradient_cosine=result.gradient_cosine,
+        active_bounds=result.active_bounds,
     )
 
 

@@ -81,11 +81,16 @@ def nice_ticks(lo, hi, target=5):
         lo, hi = hi, lo
     ticks = _ladder(lo, hi, target) if hi > lo else None
     if ticks is None:
-        mid = lo + (hi - lo) / 2
-        pad = max(1.0, abs(mid) * 0.1)
-        top = sys.float_info.max
-        ticks = _ladder(max(mid - pad, -top), min(mid + pad, top), target)
+        ticks = _ladder(*_widened(lo, hi), target)
     return ticks
+
+
+def _widened(lo, hi):
+    """The range nice_ticks steps through for a span it cannot: its middle, padded."""
+    mid = lo + (hi - lo) / 2
+    pad = max(1.0, abs(mid) * 0.1)
+    top = sys.float_info.max
+    return max(mid - pad, -top), min(mid + pad, top)
 
 
 def _ladder(lo, hi, target):
@@ -148,12 +153,13 @@ def _m4_indices(column, y):
 
 
 def _data_range(values, pad_fraction=0.05):
+    """[min, max] padded by pad_fraction of its span, or widened as nice_ticks
+    widens a span too narrow to step through, so every tick lands on the axis."""
     lo = float(np.min(values))
     hi = float(np.max(values))
-    if hi == lo:
-        pad = max(1.0, abs(lo) * 0.1)
-    else:
-        pad = (hi - lo) * pad_fraction
+    pad = (hi - lo) * pad_fraction
+    if hi == lo or _ladder(lo - pad, hi + pad, 5) is None:
+        return _widened(lo, hi)
     return lo - pad, hi + pad
 
 
@@ -171,8 +177,6 @@ def _render_panel(panel, top, width, height, parts):
     if panel.vline is not None:
         x_lo = min(x_lo, float(panel.vline))
         x_hi = max(x_hi, float(panel.vline))
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     y_lo, y_hi = _data_range(ys)
 
     def px(x):

@@ -403,6 +403,12 @@ class TestReport:
         curve = aging_degree(columns["tick"], columns["bandwidth_kbyte"], default_config(), "l2")
         assert capsys.readouterr().err == fit_stderr("l2", curve)
 
+    def test_default_simulate_then_report_writes_no_warning(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        assert main(["simulate", "--ticks", "4000", "--seed", "0", "-o", str(trace)]) == 0
+        assert main(["report", str(trace), "-o", str(tmp_path / "report.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_rejects_non_trace_input(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.csv"
         write_series_csv(bogus, [1.0, 2.0], [3.0, 4.0])

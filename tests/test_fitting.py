@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from agekit import fitting
+from agekit.cli import L2_WORKLOAD
 from agekit.errors import DomainError
 from agekit.fitting import (
     FIT_REPORT_HEADER,
+    GRADIENT_TOL,
+    K_MIN,
     fit,
     fit_report_rows,
     levenberg_marquardt,
@@ -15,12 +19,47 @@ from agekit.fitting import (
 )
 from agekit.model import FeedbackLoopModel, eval_model
 from agekit.normalize import AgingCurve
+from agekit.simulator import SimConfig, aging_degree, parse_workload, run
 
 VAL_SQRT_THIRD = 0.57735026918962576451  # sqrt(1/3), 30-digit oracle
 
 
 def curve_from_model(model, t):
     return AgingCurve.unchecked("gen", t, eval_model(model, t))
+
+
+def l2_aging_curve():
+    """The curve `report` fits to the trace of `simulate --ticks 4000 --seed 0`."""
+    cfg = SimConfig()
+    states = run(cfg, parse_workload(L2_WORKLOAD), ticks=4000, seed=0)
+    return aging_degree([s.tick for s in states], [s.bandwidth_kbyte for s in states], cfg)
+
+
+def trf_ssr(t, y, start):
+    """Final SSR of scipy's trust-region reflective solver on the same bounded problem."""
+    optimize = pytest.importorskip("scipy.optimize")
+    log_t = np.log(t)
+
+    def growth(theta):
+        return np.exp(theta[1] * t + theta[2] * log_t)
+
+    def jacobian(theta):
+        f = theta[0] * growth(theta)
+        return np.column_stack((growth(theta), t * f, log_t * f))
+
+    lower = [K_MIN, 0.0, 0.0]
+    solution = optimize.least_squares(
+        lambda theta: theta[0] * growth(theta) - y,
+        np.maximum(start, lower),
+        jac=jacobian,
+        bounds=(lower, np.inf),
+        method="trf",
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+        max_nfev=10_000,
+    )
+    return float(solution.fun @ solution.fun)
 
 
 class TestRmse:
@@ -108,6 +147,89 @@ class TestLevenbergMarquardt:
         assert K > 0.0
         assert alpha >= 0.0
         assert beta >= 0.0
+
+    def test_accepted_ssr_path_never_increases_over_random_starts(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        t = np.linspace(0.1, 10.0, 120)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            st.floats(1e-3, 2.0),
+            st.floats(0.0, 0.5),
+            st.floats(0.0, 2.5),
+            st.floats(0.0, 0.5),
+            st.integers(0, 2**32 - 1),
+            st.tuples(st.floats(-1.0, 3.0), st.floats(-0.5, 1.0), st.floats(-1.0, 3.0)),
+        )
+        def check(K, alpha, beta, noise, seed, start):
+            rng = np.random.default_rng(seed)
+            y = eval_model(FeedbackLoopModel(K, alpha, beta), t) + rng.normal(0, noise, len(t))
+            result = levenberg_marquardt(t, y, np.array(start))
+            path = np.array(result.ssr_path)
+            assert np.all(np.diff(path) <= 0.0)
+            assert len(path) <= result.iterations + 1 <= 201
+            at_bound = result.theta == [K_MIN, 0.0, 0.0]
+            held = [name in result.active_bounds for name in ("K", "alpha", "beta")]
+            assert not np.any(held & ~at_bound)
+            if result.gradient_cosine < GRADIENT_TOL:
+                assert result.converged
+
+        check()
+
+    def test_active_bound_is_reported_and_converges(self):
+        # a pure power law: alpha = 0 is optimal and its gradient points outward
+        t = np.linspace(0.1, 10.0, 200)
+        rng = np.random.default_rng(2)
+        y = eval_model(FeedbackLoopModel(0.3, 0.0, 1.1), t) * (1.0 + rng.uniform(-0.02, 0.02, 200))
+        result = levenberg_marquardt(t, y, np.array([0.5, 0.2, 0.5]))
+        assert result.converged
+        assert result.active_bounds == ("alpha",)
+        assert result.theta[1] == 0.0
+        assert result.gradient_cosine < GRADIENT_TOL
+        assert result.iterations < 50
+
+    def test_cosine_stop_is_scale_free(self):
+        # scaling y and K by s scales J^T r by s or s^2 but leaves every cosine as it is,
+        # so the solver takes the same steps and stops at the same place at any scale
+        t = np.linspace(0.1, 10.0, 200)
+        rng = np.random.default_rng(3)
+        y = eval_model(FeedbackLoopModel(0.2, 0.1, 1.2), t) + rng.normal(0, 0.05, 200)
+        scales = (2.0**-30, 1.0, 2.0**20)
+        results = [levenberg_marquardt(t, y * s, np.array([0.3 * s, 0.05, 1.0])) for s in scales]
+        reference = results[1]
+        for s, result in zip(scales, results):
+            assert result.converged
+            assert result.iterations == reference.iterations
+            assert result.theta / [s, 1.0, 1.0] == pytest.approx(reference.theta, rel=1e-12)
+
+
+class TestAgainstTrustRegionReflective:
+    """The final SSR equals scipy's bounded TRF solver's (scipy is test-only)."""
+
+    def check(self, t, y):
+        start = fitting._initial_guess(t, y)
+        result = levenberg_marquardt(t, y, start)
+        reference = trf_ssr(t, y, start)
+        assert result.converged
+        assert abs(result.ssr_path[-1] - reference) <= 1e-9 * reference
+        return result
+
+    def test_l2_trace_aging_curve(self):
+        curve = l2_aging_curve()
+        result = self.check(np.asarray(curve.t), np.asarray(curve.y))
+        assert result.active_bounds == ("alpha",)
+        assert result.iterations <= 20
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_series(self, seed):
+        # even seeds grow as a pure power law (alpha = 0, the active bound), odd ones with alpha > 0
+        rng = np.random.default_rng([seed, 9])
+        alpha = 0.0 if seed % 2 == 0 else rng.uniform(0.05, 0.4)
+        true = FeedbackLoopModel(rng.uniform(0.05, 0.6), alpha, rng.uniform(0.3, 1.5))
+        t = np.sort(rng.uniform(0.05, 10.0, int(rng.integers(300, 701))))
+        y = eval_model(true, t) * (1.0 + rng.uniform(-0.02, 0.02, len(t)))
+        self.check(t, y)
 
 
 class TestFit:

@@ -203,6 +203,26 @@ class TestRenderChart:
         text = render_chart((Panel("narrow", "x", "y", (series,)),))
         assert len(ET.fromstring(text).findall(f".//{SVG_NS}polyline")) == 1
 
+    def test_span_under_an_ulp_draws_flat_with_ticks_on_the_canvas(self):
+        series = Series("c", np.array([0.0, 1.0]), np.array([1.0, 1.0000000000000002]))
+        text = render_chart((Panel("narrow", "x", "y", (series,)),), width=400, panel_height=200)
+        root = ET.fromstring(text)
+        (line,) = polylines(text)
+        heights = {point.split(",")[1] for point in line}
+        assert len(heights) == 1
+        # y tick labels are right-anchored left of the plot; all must sit on the canvas
+        y_labels = [el for el in root.findall(f".//{SVG_NS}text") if el.get("text-anchor") == "end"]
+        assert len(y_labels) >= 2
+        assert all(0.0 <= float(el.get("y")) <= 200.0 for el in y_labels)
+
+    def test_narrow_x_span_puts_ticks_on_the_canvas(self):
+        series = Series("c", np.array([1.0, 1.0000000000000002]), np.array([0.0, 1.0]))
+        root = ET.fromstring(render_chart((Panel("narrow", "x", "y", (series,)),), width=400))
+        x_labels = [el for el in root.findall(f".//{SVG_NS}text") if el.get("text-anchor") == "middle"]
+        ticks = [el for el in x_labels if el.text not in ("x", "narrow")]
+        assert len(ticks) >= 2
+        assert all(0.0 <= float(el.get("x")) <= 400.0 for el in ticks)
+
 
 # sha256 computed at commit 930f2cf, before series past 4 points per pixel
 # column were M4-reduced; charts whose series are all at or under that cap
@@ -228,9 +248,7 @@ def one_series_chart(x, y):
 
 def column_runs(x):
     """Index runs of consecutive points in one 1-px column, as the renderer bins them."""
-    x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+    x_lo, x_hi = svg._data_range(x, 0.0)
     plot_w = float(COLUMNS)
     pixel = svg.MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
     column = np.minimum(np.floor(pixel - svg.MARGIN_LEFT), COLUMNS - 1)
