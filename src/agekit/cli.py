@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: smooth, fit, simulate, rejuvenate, report. Every command is
-deterministic given its flags (simulation randomness is seeded). Exit
-codes are a stable contract: 0 success, 2 input or parse error, 3 domain
-or invariant error. Diagnostics go to stderr; outputs are written
-atomically.
+Subcommands: smooth, fit, simulate, rejuvenate, report. Each subparser sets
+its handler ``cmd_*(parser, args)`` as a default (rejuvenate shares
+cmd_simulate) and ``main`` makes the one call ``args.handler(parser, args)``.
+Every command is deterministic given its flags (simulation randomness is
+seeded). Exit codes are a stable contract: 0 success, 2 input or parse
+error, 3 domain or invariant error; one ``except`` arm in ``main`` maps
+them. Diagnostics go to stderr; outputs are written atomically.
 """
 
 import argparse
@@ -59,7 +61,7 @@ def _series_name(path):
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def cmd_smooth(args):
+def cmd_smooth(parser, args):
     series = load_series(args.input, _series_name(args.input), Orientation.HIGHER_IS_WORSE)
     save_series(lowess(series, args.fraction, args.iterations), args.output)
     return 0
@@ -106,7 +108,7 @@ def _fit_and_write(args, curves):
     return 0
 
 
-def cmd_fit(args):
+def cmd_fit(parser, args):
     orientation = Orientation(args.orientation)
     if args.svg is not None and len(args.inputs) != 1:
         raise ParseError("--svg requires exactly one input file")
@@ -120,21 +122,18 @@ def cmd_fit(args):
 
 def _build_policy(parser, args):
     variant = PolicyVariant(args.policy)
-    if variant is PolicyVariant.PROBABILISTIC_ADMISSION:
-        if args.policy_p is None:
-            parser.error("--policy probabilistic requires --policy-p")
-        return RejuvenationPolicy.probabilistic(args.policy_p, args.trigger)
-    if args.policy_p is not None:
-        parser.error("--policy-p is only valid with --policy probabilistic")
-    if variant is PolicyVariant.MEM_REAP_ENLARGE:
-        if args.refcount is None:
-            parser.error("--policy memreap requires --refcount")
-        return RejuvenationPolicy.mem_reap_enlarge(args.refcount, args.trigger)
-    if args.refcount is not None:
-        parser.error("--refcount is only valid with --policy memreap")
+    # each policy flag belongs to one variant: required there, a usage error elsewhere
+    for flag, value, owner in (
+        ("--policy-p", args.policy_p, PolicyVariant.PROBABILISTIC_ADMISSION),
+        ("--refcount", args.refcount, PolicyVariant.MEM_REAP_ENLARGE),
+    ):
+        if variant is owner and value is None:
+            parser.error(f"--policy {owner.value} requires {flag}")
+        if variant is not owner and value is not None:
+            parser.error(f"{flag} is only valid with --policy {owner.value}")
     if variant is PolicyVariant.NONE:
         return NO_POLICY
-    return RejuvenationPolicy(variant, args.trigger)
+    return RejuvenationPolicy(variant, args.trigger, args.policy_p, args.refcount)
 
 
 def _trace_chart(states, marker=None):
@@ -178,32 +177,24 @@ def _trace_chart(states, marker=None):
     )
 
 
-def _run_simulation(parser, args, rejuvenation_tick=None):
+def cmd_simulate(parser, args):
     cfg = _resolve_config(args)
     load = parse_workload(args.workload)
     policy = _build_policy(parser, args)
-    if rejuvenation_tick is None:
+    if args.rejuvenation_tick is None:
         states = run(cfg, load, policy, ticks=args.ticks, seed=args.seed)
     else:
         before, after = apply_policy_experiment(
-            cfg, load, policy, args.ticks, rejuvenation_tick, seed=args.seed
+            cfg, load, policy, args.ticks, args.rejuvenation_tick, seed=args.seed
         )
         states = before + after
     write_trace(args.output, states)
     if args.svg is not None:
-        write_text_atomic(args.svg, _trace_chart(states, marker=rejuvenation_tick))
+        write_text_atomic(args.svg, _trace_chart(states, marker=args.rejuvenation_tick))
     return 0
 
 
-def cmd_simulate(parser, args):
-    return _run_simulation(parser, args)
-
-
-def cmd_rejuvenate(parser, args):
-    return _run_simulation(parser, args, rejuvenation_tick=args.rejuvenation_tick)
-
-
-def cmd_report(args):
+def cmd_report(parser, args):
     cfg = _resolve_config(args)
     columns = load_trace(args.input)
     curve = aging_degree(columns["tick"], columns["bandwidth_kbyte"], cfg, _series_name(args.input))
@@ -264,6 +255,7 @@ def build_parser():
     sub.add_argument(
         "--iterations", type=int, default=0, help="robustness passes (default: 0)"
     )
+    sub.set_defaults(handler=cmd_smooth)
 
     sub = commands.add_parser(
         "fit", help="smooth, normalize, and fit one or more metric series"
@@ -283,9 +275,11 @@ def build_parser():
     )
     sub.add_argument("-o", "--output", required=True, help="report CSV path")
     sub.add_argument("--svg", help="optional chart path (single input only)")
+    sub.set_defaults(handler=cmd_fit)
 
     sub = commands.add_parser("simulate", help="run the feedback-loop simulator")
     _add_simulation_flags(sub)
+    sub.set_defaults(handler=cmd_simulate, rejuvenation_tick=None)
 
     sub = commands.add_parser(
         "rejuvenate", help="simulate with a policy switched on mid-run"
@@ -297,6 +291,7 @@ def build_parser():
         required=True,
         help="tick at which the policy becomes active",
     )
+    sub.set_defaults(handler=cmd_simulate)
 
     sub = commands.add_parser(
         "report", help="fit the aging model to a simulator trace's bandwidth"
@@ -305,6 +300,7 @@ def build_parser():
     sub.add_argument("--config", help="key=value file overriding SimConfig defaults")
     sub.add_argument("-o", "--output", required=True, help="report CSV path")
     sub.add_argument("--svg", help="optional chart path")
+    sub.set_defaults(handler=cmd_report)
 
     return parser
 
@@ -313,27 +309,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "smooth":
-            return cmd_smooth(args)
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "simulate":
-            return cmd_simulate(parser, args)
-        if args.command == "rejuvenate":
-            return cmd_rejuvenate(parser, args)
-        return cmd_report(args)
+        return args.handler(parser, args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; normalize to int
         return int(exc.code or 0)
-    except ParseError as exc:
+    except (ParseError, DomainError, OSError) as exc:
         print(f"agekit: error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"agekit: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"agekit: error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DomainError) else 2
 
 
 def entrypoint():

@@ -46,6 +46,8 @@ def rmse(observed, predicted):
     predicted = np.asarray(predicted, dtype=float)
     if observed.shape != predicted.shape or observed.ndim != 1 or len(observed) == 0:
         raise DomainError("rmse needs two equal-length nonempty vectors")
+    if not (np.isfinite(observed).all() and np.isfinite(predicted).all()):
+        raise DomainError("rmse needs finite values")
     residual = predicted - observed
     return float(np.sqrt(np.mean(residual * residual)))
 
@@ -56,6 +58,8 @@ def r_square(observed, predicted):
     predicted = np.asarray(predicted, dtype=float)
     if observed.shape != predicted.shape or observed.ndim != 1 or len(observed) < 2:
         raise DomainError("r_square needs two equal-length vectors of at least 2 samples")
+    if not (np.isfinite(observed).all() and np.isfinite(predicted).all()):
+        raise DomainError("r_square needs finite values")
     mean = observed.mean()
     ss_tot = float(np.sum((observed - mean) ** 2))
     if ss_tot == 0.0:

@@ -43,6 +43,7 @@ so every value is the one the laws give when evaluated term by term in order.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 
@@ -61,6 +62,11 @@ TRACE_HEADER = (
     "bandwidth_kbyte",
     "sfr_mb",
 )
+
+
+def _is_integral(value):
+    """A real number with an integral value; rejects NaN, +-inf, strings and None."""
+    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
 
 
 class FileDist(IntEnum):
@@ -98,12 +104,17 @@ class WorkloadSpec:
     file_difference: FileDifference
 
     def __post_init__(self):
-        object.__setattr__(self, "file_dist", FileDist(self.file_dist))
-        object.__setattr__(self, "file_difference", FileDifference(self.file_difference))
+        for name, kind in (("file_dist", FileDist), ("file_difference", FileDifference)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                allowed = list(map(int, kind))
+                raise DomainError(f"{name} must be one of {allowed}, got {value!r}") from None
         for name in ("client_count", "file_object", "file_max_object", "sleep_time_ms"):
             value = getattr(self, name)
-            if int(value) != value or value < 0:
-                raise DomainError(f"{name} must be a nonnegative integer, got {value}")
+            if not _is_integral(value) or value < 0:
+                raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.file_object < 1:
             raise DomainError("file_object must be at least 1")
@@ -199,28 +210,19 @@ class SimConfig:
             "activity_norm_requests",
             "trigger_window_ticks",
         )
-        nonnegative = (
-            "refcount_threshold",
-            "initial_cache_mb",
-            "baseline_working_set_mb",
-            "cache_growth_mb_per_miss",
-            "backlog_cache_gain",
-            "cache_turnover_rate",
-            "sfr_stale_rate",
-            "sfr_reclaim_rate",
-            "pressure_latency_gain",
-            "queue_service_rate",
-            "heap_growth_per_queue",
-            "heap_decay_rate",
-            "bandwidth_queue_gain",
-            "bandwidth_pressure_gain",
-        )
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise DomainError(f"config {name} must be positive, got {getattr(self, name)}")
-        for name in nonnegative:
-            if not getattr(self, name) >= 0:
-                raise DomainError(f"config {name} must be nonnegative, got {getattr(self, name)}")
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
+            if field.type is int:
+                if not _is_integral(value):
+                    raise DomainError(f"config {name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
+            elif not isinstance(value, numbers.Real):
+                raise DomainError(f"config {name} must be a number, got {value!r}")
+            if name in positive:
+                if not value > 0:
+                    raise DomainError(f"config {name} must be positive, got {value}")
+            elif name != "refcount_survival" and not value >= 0:
+                raise DomainError(f"config {name} must be nonnegative, got {value}")
         if self.max_block_kb < self.base_block_kb:
             raise DomainError("max_block_kb must be at least base_block_kb")
         if self.bandwidth_fail_kbyte >= self.bandwidth_nominal_kbyte:
@@ -303,7 +305,7 @@ class RejuvenationPolicy:
         elif self.admit_probability is not None:
             raise DomainError("admit_probability is only valid for probabilistic admission")
         if self.variant is PolicyVariant.MEM_REAP_ENLARGE:
-            if self.refcount is None or int(self.refcount) != self.refcount or self.refcount < 1:
+            if not _is_integral(self.refcount) or self.refcount < 1:
                 raise DomainError("memreap enlargement needs an integer refcount >= 1")
             object.__setattr__(self, "refcount", int(self.refcount))
         elif self.refcount is not None:
@@ -690,12 +692,12 @@ def step(state, load, cfg, policy=NO_POLICY, rng=None):
 
 def run(cfg, load, policy=NO_POLICY, ticks=4000, seed=0):
     """Simulate ticks steps from a fresh server; returns ticks+1 states."""
-    if ticks < 0:
-        raise DomainError(f"ticks must be nonnegative, got {ticks}")
+    if not _is_integral(ticks) or ticks < 0:
+        raise DomainError(f"ticks must be nonnegative and integral, got {ticks!r}")
     validate_workload(load, cfg)
     start = init_state(cfg)
     start.validate(cfg)
-    return _advance(start, load, cfg, policy, ticks, np.random.default_rng(seed))
+    return _advance(start, load, cfg, policy, int(ticks), np.random.default_rng(seed))
 
 
 def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0):
@@ -703,10 +705,15 @@ def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0)
 
     Returns (before, after): states 0..rejuvenation_tick and the rest.
     """
+    if not (_is_integral(ticks) and _is_integral(rejuvenation_tick)):
+        raise DomainError(
+            f"ticks and rejuvenation_tick must be integral, got {ticks!r} and {rejuvenation_tick!r}"
+        )
     if not (0 < rejuvenation_tick < ticks):
         raise DomainError(
             f"rejuvenation_tick must fall inside (0, {ticks}), got {rejuvenation_tick}"
         )
+    ticks, rejuvenation_tick = int(ticks), int(rejuvenation_tick)
     validate_workload(load, cfg)
     start = init_state(cfg)
     start.validate(cfg)

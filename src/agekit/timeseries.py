@@ -187,7 +187,11 @@ def write_text_atomic(path, text):
         os.umask(umask)
         mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".agekit-", suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".agekit-", suffix=".tmp")
+    except OSError as exc:
+        # name the caller's path, not the temp file that could not be created
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -4,16 +4,31 @@ Exit-code contract under test: 0 success, 2 usage/parse error, 3 domain
 error. Commands are driven in-process through main(argv).
 """
 
+import functools
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from agekit.cli import default_config, main
+import agekit
+from agekit import fitting
+from agekit.cli import L2_WORKLOAD, default_config, main
 from agekit.fitting import FIT_REPORT_HEADER, fit
 from agekit.model import FeedbackLoopModel, eval_model
 from agekit.normalize import to_aging_curve
-from agekit.simulator import TRACE_HEADER, SimConfig, aging_degree, load_trace
+from agekit.simulator import (
+    TRACE_HEADER,
+    RejuvenationPolicy,
+    SimConfig,
+    aging_degree,
+    load_trace,
+    parse_workload,
+    run,
+    trace_csv,
+)
 from agekit.smoothing import lowess_values
 from agekit.timeseries import Orientation, load_series, rescale_time
 
@@ -156,6 +171,21 @@ class TestExitCodes:
     def test_mismatched_policy_flags(self, tmp_path, extra, capsys):
         code = main(["simulate", *extra, "--ticks", "10", "-o", str(tmp_path / "t.csv")])
         assert code == 2
+
+    def test_refcount_with_probabilistic_policy(self, tmp_path, capsys):
+        # every policy flag outside its own variant is a usage error
+        argv = ["simulate", "--policy", "probabilistic", "--policy-p", "0.5", "--refcount", "5"]
+        assert main([*argv, "--ticks", "10", "-o", str(tmp_path / "t.csv")]) == 2
+        assert "--refcount is only valid with --policy memreap" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_unwritable_output_names_the_users_path(self, tmp_path, capsys):
+        out = str(tmp_path / "absent" / "t.csv")
+        assert main(["simulate", "--ticks", "1", "-o", out]) == 2
+        assert capsys.readouterr().err == (
+            f"agekit: error: [Errno 2] No such file or directory: {out!r}\n"
+        )
+        assert not (tmp_path / "absent").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
@@ -320,6 +350,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--ticks", "200", "-o", str(b)]) == 0
         assert load_trace(b)["cache_mb"][-1] > load_trace(a)["cache_mb"][-1]
 
+    def test_probabilistic_policy_matches_library_run(self, tmp_path):
+        out = tmp_path / "p.csv"
+        argv = ["simulate", "--policy", "probabilistic", "--policy-p", "0.3", "--trigger", "0.1"]
+        assert main([*argv, "--ticks", "1000", "-o", str(out)]) == 0
+        cfg, load = SimConfig(), parse_workload(L2_WORKLOAD)
+        policy = RejuvenationPolicy.probabilistic(0.3, trigger_threshold=0.1)
+        assert out.read_text() == trace_csv(run(cfg, load, policy, ticks=1000, seed=0))
+        # the policy armed: the trace differs from the unpoliced one
+        assert out.read_text() != trace_csv(run(cfg, load, ticks=1000, seed=0))
+
     def test_default_config_matches_builtin(self):
         assert default_config() == SimConfig()
 
@@ -409,6 +449,14 @@ class TestReport:
         assert main(["report", str(trace), "-o", str(tmp_path / "report.csv")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_unconverged_fit_warns_and_still_writes(self, tmp_path, l2_trace, capsys, monkeypatch):
+        capped = functools.partial(fitting.levenberg_marquardt, max_iterations=1)
+        monkeypatch.setattr(fitting, "levenberg_marquardt", capped)
+        out = tmp_path / "report.csv"
+        assert main(["report", str(l2_trace), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: l2: fit did not converge (converged=false)\n"
+        assert [row["name"] for row in read_report(out)] == ["l2"]
+
     def test_rejects_non_trace_input(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.csv"
         write_series_csv(bogus, [1.0, 2.0], [3.0, 4.0])
@@ -421,3 +469,26 @@ class TestReport:
         assert main(["report", str(non_finite), "-o", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert "non_finite.csv: row 3: field bandwidth_kbyte is not finite" in err
+
+
+class TestModuleEntrypoint:
+    """``python -m agekit`` exits with main's code."""
+
+    def agekit(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(agekit.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run(
+            [sys.executable, "-m", "agekit", *argv], env=env, capture_output=True, text=True
+        )
+
+    def test_success(self, tmp_path):
+        out = tmp_path / "t.csv"
+        done = self.agekit("simulate", "--ticks", "5", "-o", str(out))
+        assert done.returncode == 0, done.stderr
+        assert len(load_trace(out)["tick"]) == 6
+
+    def test_domain_error_exit_code(self, tmp_path):
+        out = str(tmp_path / "t.csv")
+        done = self.agekit("simulate", "--workload", "950,0,20,20,1000,0", "-o", out)
+        assert done.returncode == 3
+        assert done.stderr.startswith("agekit: error: client_count (950) exceeds capacity_clients")

@@ -87,6 +87,13 @@ class TestRmse:
         with pytest.raises(DomainError):
             rmse([], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="rmse needs finite values"):
+            rmse([1.0, bad], [1.0, 2.0])
+        with pytest.raises(DomainError, match="rmse needs finite values"):
+            rmse([1.0, 2.0], [bad, 2.0])
+
 
 class TestRSquare:
     def test_perfect_prediction(self):
@@ -118,6 +125,14 @@ class TestRSquare:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             r_square([1.0, 2.0], [1.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="r_square needs finite values"):
+            r_square([1.0, bad], [1.0, 2.0])
+        with pytest.raises(DomainError, match="r_square needs finite values"):
+            r_square([1.0, 2.0], [1.0, bad])
 
 
 class TestLevenbergMarquardt:

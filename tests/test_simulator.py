@@ -99,6 +99,24 @@ class TestParseWorkload:
         with pytest.raises(DomainError, match="client_count must be a nonnegative integer"):
             WorkloadSpec(-1, 0, 20, 20, 1000, 0)
 
+    def test_unknown_file_dist_value(self):
+        with pytest.raises(DomainError, match=r"file_dist must be one of \[0, 1, 2, 3\], got 7"):
+            WorkloadSpec(600, 7, 20, 20, 1000, 0)
+
+    def test_unknown_file_difference_value(self):
+        with pytest.raises(DomainError, match=r"file_difference must be one of \[0, 1\], got 2"):
+            WorkloadSpec(600, 0, 20, 20, 1000, 2)
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, "600", 600.5])
+    def test_non_integral_client_count(self, count):
+        with pytest.raises(DomainError, match="client_count must be a nonnegative integer"):
+            WorkloadSpec(count, 0, 20, 20, 1000, 0)
+
+    def test_integral_float_fields_become_int(self):
+        load = WorkloadSpec(600.0, 0, 20.0, 20, 1000, 0)
+        assert load == WorkloadSpec(600, 0, 20, 20, 1000, 0)
+        assert isinstance(load.client_count, int)
+
 
 class TestSimConfig:
     def test_defaults_are_valid_and_frozen(self):
@@ -142,6 +160,40 @@ class TestSimConfig:
     def test_initial_memory_fits(self):
         with pytest.raises(DomainError, match="exceeds total memory"):
             SimConfig(initial_cache_mb=700.0, baseline_working_set_mb=700.0)
+
+    @pytest.mark.parametrize("value", ["100", 100.5, math.nan, math.inf, None])
+    def test_int_fields_reject_non_integers(self, value):
+        with pytest.raises(DomainError, match="config catalog_files must be an integer"):
+            SimConfig(catalog_files=value)
+
+    def test_int_fields_accept_integral_floats(self):
+        # the constructor holds int fields to the int() rule load_sim_config applies
+        cfg = SimConfig(catalog_files=250.0, refcount_threshold=np.int64(2))
+        assert cfg.catalog_files == 250 and isinstance(cfg.catalog_files, int)
+        assert cfg.refcount_threshold == 2 and type(cfg.refcount_threshold) is int
+
+    @pytest.mark.parametrize("value", ["1100", None])
+    def test_float_fields_reject_non_numbers(self, value):
+        with pytest.raises(DomainError, match="config total_memory_mb must be a number"):
+            SimConfig(total_memory_mb=value)
+
+    def test_nan_rejected_by_range_rules(self):
+        with pytest.raises(DomainError, match="config queue_gain must be positive"):
+            SimConfig(queue_gain=math.nan)
+        with pytest.raises(DomainError, match="config heap_decay_rate must be nonnegative"):
+            SimConfig(heap_decay_rate=math.nan)
+
+    def test_first_bad_field_in_declaration_order_is_reported(self):
+        # refcount_threshold (nonnegative) is declared before tick_seconds (positive)
+        with pytest.raises(DomainError, match="config refcount_threshold must be nonnegative"):
+            SimConfig(refcount_threshold=-1, tick_seconds=0.0)
+
+    def test_every_field_but_survival_is_range_checked(self):
+        for field in dataclasses.fields(SimConfig):
+            if field.name == "refcount_survival":
+                continue
+            with pytest.raises(DomainError, match=f"config {field.name} must be"):
+                SimConfig(**{field.name: -1})
 
 
 class TestLoadSimConfig:
@@ -235,6 +287,11 @@ class TestRejuvenationPolicy:
     def test_refcount_rejected_elsewhere(self):
         with pytest.raises(DomainError, match="only valid for memreap enlargement"):
             RejuvenationPolicy(PolicyVariant.NONE, refcount=3)
+
+    @pytest.mark.parametrize("refcount", [math.nan, math.inf, "15"])
+    def test_memreap_refcount_must_be_a_real_integer(self, refcount):
+        with pytest.raises(DomainError, match="integer refcount >= 1"):
+            RejuvenationPolicy.mem_reap_enlarge(refcount)
 
 
 class TestStateAndHelpers:
@@ -444,6 +501,15 @@ class TestRunAndExperiment:
         with pytest.raises(DomainError, match="ticks must be nonnegative"):
             run(SimConfig(), parse_workload(STABLE_LOAD), ticks=-1)
 
+    @pytest.mark.parametrize("ticks", [2.5, math.nan, math.inf, "5"])
+    def test_run_rejects_non_integral_ticks(self, ticks):
+        with pytest.raises(DomainError, match="ticks must be nonnegative and integral"):
+            run(SimConfig(), parse_workload(STABLE_LOAD), ticks=ticks)
+
+    def test_run_accepts_integral_float_ticks(self):
+        cfg, load = SimConfig(), parse_workload(STABLE_LOAD)
+        assert run(cfg, load, ticks=5.0) == run(cfg, load, ticks=5)
+
     def test_run_enforces_capacity(self):
         with pytest.raises(DomainError, match="exceeds capacity_clients"):
             run(SimConfig(), parse_workload("950,0,20,20,1000,0"), ticks=1)
@@ -484,6 +550,20 @@ class TestRunAndExperiment:
             cfg, load, NO_POLICY, ticks=120, rejuvenation_tick=50, seed=4
         )
         assert before + after == run(cfg, load, NO_POLICY, ticks=120, seed=4)
+
+    @pytest.mark.parametrize("ticks,rejuvenation_tick", [(10, 2.5), (10.5, 5), (10, math.nan)])
+    def test_experiment_rejects_non_integral_ticks(self, ticks, rejuvenation_tick):
+        with pytest.raises(DomainError, match="ticks and rejuvenation_tick must be integral"):
+            apply_policy_experiment(
+                SimConfig(), parse_workload(AGING_LOAD), NO_POLICY, ticks, rejuvenation_tick
+            )
+
+    def test_experiment_accepts_integral_float_ticks(self):
+        cfg, load = SimConfig(), parse_workload(AGING_LOAD)
+        policy = RejuvenationPolicy.cache_hit()
+        assert apply_policy_experiment(cfg, load, policy, 20.0, 8.0) == apply_policy_experiment(
+            cfg, load, policy, 20, 8
+        )
 
     @pytest.mark.parametrize("rejuvenation_tick", [0, 120, 200])
     def test_experiment_tick_bounds(self, rejuvenation_tick):

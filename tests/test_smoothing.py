@@ -192,6 +192,15 @@ class TestOracleEquivalence:
         ref = np.array(reference_lowess(t, v, fraction, iterations))
         assert np.max(np.abs(ours - ref)) <= 1e-9
 
+    def test_zeroed_robust_window_falls_back_to_window_mean(self):
+        # after one robust pass every weight in the window of t=5 (the
+        # outlier) is zero, so that row falls back to the window's plain mean
+        t = np.arange(12, dtype=float)
+        v = np.array([0.4, 0.9, -0.3, 0.8, -1.1, 20.6, -0.5, 0.7, 1.0, -0.7, -0.1, 0.0])
+        ours = lowess_values(t, v, 0.3, 1)
+        ref = np.array(reference_lowess(t, v, 0.3, 1))
+        assert np.max(np.abs(ours - ref)) <= 1e-12
+
     def test_matches_reference_on_uniform_grid_with_ties(self):
         rng = np.random.default_rng(11)
         t = np.arange(60, dtype=float)

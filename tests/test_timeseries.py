@@ -225,6 +225,25 @@ class TestWriteTextAtomic:
         assert path.read_text() == "t,value\n"
         assert self.mode(path) == 0o644
 
+    def test_failed_rename_keeps_target_and_removes_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            write_text_atomic(str(path), "new\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_missing_directory_error_names_the_path(self, tmp_path):
+        path = str(tmp_path / "absent" / "out.csv")
+        with pytest.raises(FileNotFoundError) as excinfo:
+            write_text_atomic(path, "x\n")
+        assert excinfo.value.filename == path
+
     def test_existing_file_keeps_its_mode(self, tmp_path, umask_022):
         path = tmp_path / "old.csv"
         path.write_text("stale\n")
