@@ -1,7 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the numeric input rules behind them.
 
 The CLI maps these onto exit codes: ParseError -> 2, DomainError -> 3.
+A numeric input that is not a finite real number (a string, None, NaN or
++-inf) raises DomainError; so does a count or a seed that is not an integral
+value, and a seed must also be nonnegative.
 """
+
+import math
+import numbers
 
 
 class AgekitError(Exception):
@@ -14,3 +20,16 @@ class ParseError(AgekitError):
 
 class DomainError(AgekitError):
     """Well-formed input that violates a domain invariant."""
+
+
+def _is_real(value):
+    """A finite real number; rejects NaN, +-inf, strings, None and ints past the float range."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_integral(value):
+    """A finite real number with an integral value."""
+    return _is_real(value) and int(value) == value

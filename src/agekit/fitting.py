@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import FeedbackLoopModel, eval_model
-from .timeseries import format_float, write_text_atomic
+from .timeseries import _as_readonly_float_array, format_float, write_text_atomic
 
 Y_FLOOR = 1e-6  # below this a sample cannot inform the log-space initializer
 K_MIN = 1e-12
@@ -42,24 +42,20 @@ FIT_REPORT_HEADER = ("name", "K", "alpha", "beta", "rmse", "r_square")
 
 def rmse(observed, predicted):
     """Root mean squared prediction error."""
-    observed = np.asarray(observed, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
-    if observed.shape != predicted.shape or observed.ndim != 1 or len(observed) == 0:
+    observed = _as_readonly_float_array(observed, "observed", "rmse needs finite values")
+    predicted = _as_readonly_float_array(predicted, "predicted", "rmse needs finite values")
+    if len(observed) != len(predicted) or len(observed) == 0:
         raise DomainError("rmse needs two equal-length nonempty vectors")
-    if not (np.isfinite(observed).all() and np.isfinite(predicted).all()):
-        raise DomainError("rmse needs finite values")
     residual = predicted - observed
     return float(np.sqrt(np.mean(residual * residual)))
 
 
 def r_square(observed, predicted):
     """Coefficient of determination, 1 - SS_res/SS_tot. At most 1, may go negative."""
-    observed = np.asarray(observed, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
-    if observed.shape != predicted.shape or observed.ndim != 1 or len(observed) < 2:
+    observed = _as_readonly_float_array(observed, "observed", "r_square needs finite values")
+    predicted = _as_readonly_float_array(predicted, "predicted", "r_square needs finite values")
+    if len(observed) != len(predicted) or len(observed) < 2:
         raise DomainError("r_square needs two equal-length vectors of at least 2 samples")
-    if not (np.isfinite(observed).all() and np.isfinite(predicted).all()):
-        raise DomainError("r_square needs finite values")
     mean = observed.mean()
     ss_tot = float(np.sum((observed - mean) ** 2))
     if ss_tot == 0.0:
@@ -216,16 +212,14 @@ def fit(curve):
     ``converged=False`` is a report outcome, not an exception; degenerate
     input (constant y, everything under the floor, bad grid) raises.
     """
-    t = np.asarray(curve.t, dtype=float)
-    y = np.asarray(curve.y, dtype=float)
-    if t.ndim != 1 or y.ndim != 1 or len(t) != len(y):
+    t = _as_readonly_float_array(curve.t, "t", "fit input has non-finite entries")
+    y = _as_readonly_float_array(curve.y, "y", "fit input has non-finite entries")
+    if len(t) != len(y):
         raise DomainError("fit needs matching one-dimensional t and y")
     if len(t) < 4:
         raise DomainError(f"fit needs at least 4 samples, got {len(t)}")
     if np.any(t <= 0.0) or not np.all(np.diff(t) > 0):
         raise DomainError("fit times must be strictly positive and increasing")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise DomainError("fit input has non-finite entries")
     if np.all(y == y[0]):
         raise DomainError("degenerate curve: constant aging degree cannot be fitted")
 

@@ -11,18 +11,18 @@ K*(1 - exp(-(1/t + v)*t)) (cleanup capacity levels off), plus their product
 and a many-loop sum of such products.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _is_real
+from .timeseries import _as_float_array
 
 _K_FLOOR = 0.0  # K strictly positive; alpha, beta nonnegative
 
 
 def _require_finite(name, value):
-    if not math.isfinite(value):
+    if not _is_real(value):
         raise DomainError(f"{name} must be finite, got {value}")
 
 
@@ -85,7 +85,7 @@ class NegativeLoop:
 
 
 def _check_times(t):
-    arr = np.asarray(t, dtype=float)
+    arr = _as_float_array(t, "evaluation times")
     if not np.all(np.isfinite(arr)):
         raise DomainError("evaluation times must be finite")
     if np.any(arr <= 0.0):
@@ -145,7 +145,7 @@ def ode_residual(model, ts):
     halving a uniform grid spacing shrinks the residual about fourfold.
     Needs K > 0 so the log exists.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = _as_float_array(ts, "ode_residual grid")
     if ts.ndim != 1 or len(ts) < 3:
         raise DomainError("ode_residual needs a one-dimensional grid of at least 3 times")
     if np.any(ts <= 0.0) or not np.all(np.diff(ts) > 0):

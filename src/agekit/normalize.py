@@ -24,11 +24,9 @@ from .timeseries import Orientation, _as_readonly_float_array
 
 def normalize_only(values, orientation):
     """Normalize an array to aging degree without smoothing or dropping."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or len(values) < 2:
+    values = _as_readonly_float_array(values, "values", "normalization input has non-finite values")
+    if len(values) < 2:
         raise DomainError("normalization needs a one-dimensional array of at least 2 values")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("normalization input has non-finite values")
     low = values.min()
     high = values.max()
     if high == low:
@@ -56,16 +54,14 @@ class AgingCurve:
     y: np.ndarray
 
     def __post_init__(self):
-        t = _as_readonly_float_array(self.t, "t")
-        y = _as_readonly_float_array(self.y, "y")
+        t = _as_readonly_float_array(self.t, "t", "aging curve has non-finite entries")
+        y = _as_readonly_float_array(self.y, "y", "aging curve has non-finite entries")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
         if len(t) != len(y):
             raise DomainError("aging curve needs matching one-dimensional t and y")
         if len(t) < 2:
             raise DomainError(f"aging curve needs at least 2 samples, got {len(t)}")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(y)):
-            raise DomainError("aging curve has non-finite entries")
         if t[0] <= 0 or not np.all(np.diff(t) > 0):
             raise DomainError("aging curve times must be strictly positive and increasing")
         if y.min() < 0.0 or y.max() > 1.0:

@@ -49,9 +49,10 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _is_integral, _is_real
 from .normalize import to_aging_curve
 from .timeseries import MetricSeries, Orientation, _read_columns, format_float, write_text_atomic
+from .timeseries import _as_readonly_float_array
 
 TRACE_HEADER = (
     "tick",
@@ -62,11 +63,6 @@ TRACE_HEADER = (
     "bandwidth_kbyte",
     "sfr_mb",
 )
-
-
-def _is_integral(value):
-    """A real number with an integral value; rejects NaN, +-inf, strings and None."""
-    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
 
 
 class FileDist(IntEnum):
@@ -297,10 +293,10 @@ class RejuvenationPolicy:
     def __post_init__(self):
         if not isinstance(self.variant, PolicyVariant):
             raise DomainError(f"unknown policy variant: {self.variant!r}")
-        if not (0.0 < self.trigger_threshold <= 1.0):
+        if not (_is_real(self.trigger_threshold) and 0.0 < self.trigger_threshold <= 1.0):
             raise DomainError(f"trigger threshold out of range (0, 1]: {self.trigger_threshold}")
         if self.variant is PolicyVariant.PROBABILISTIC_ADMISSION:
-            if self.admit_probability is None or not (0.0 <= self.admit_probability <= 1.0):
+            if not (_is_real(self.admit_probability) and 0.0 <= self.admit_probability <= 1.0):
                 raise DomainError("probabilistic admission needs admit_probability in [0, 1]")
         elif self.admit_probability is not None:
             raise DomainError("admit_probability is only valid for probabilistic admission")
@@ -642,7 +638,9 @@ def _advance(state, load, cfg, policy, ticks, rng):
         heap = working_set_mb - baseline - cache_mb
         heap = max(0.0, heap + heap_growth * queue_len * damp - heap_decay * heap)
         working = baseline + cache + heap
-        if working > total:  # damping keeps this unreachable; stay safe
+        # backlog parking and heap growth are not throttled by free memory, so
+        # a large backlog_cache_gain or queue_gain reaches this clamp
+        if working > total:
             overflow = working - total
             shaved = min(heap, overflow)
             heap -= shaved
@@ -690,14 +688,24 @@ def step(state, load, cfg, policy=NO_POLICY, rng=None):
     return _advance(state, load, cfg, policy, 1, rng)[1]
 
 
+def _seeded_rng(seed):
+    if not (_is_integral(seed) and seed >= 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(int(seed))
+
+
 def run(cfg, load, policy=NO_POLICY, ticks=4000, seed=0):
-    """Simulate ticks steps from a fresh server; returns ticks+1 states."""
+    """Simulate ticks steps from a fresh server; returns ticks+1 states.
+
+    The seed, a nonnegative integer, fixes the random stream.
+    """
     if not _is_integral(ticks) or ticks < 0:
         raise DomainError(f"ticks must be nonnegative and integral, got {ticks!r}")
+    rng = _seeded_rng(seed)
     validate_workload(load, cfg)
     start = init_state(cfg)
     start.validate(cfg)
-    return _advance(start, load, cfg, policy, int(ticks), np.random.default_rng(seed))
+    return _advance(start, load, cfg, policy, int(ticks), rng)
 
 
 def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0):
@@ -714,10 +722,10 @@ def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0)
             f"rejuvenation_tick must fall inside (0, {ticks}), got {rejuvenation_tick}"
         )
     ticks, rejuvenation_tick = int(ticks), int(rejuvenation_tick)
+    rng = _seeded_rng(seed)
     validate_workload(load, cfg)
     start = init_state(cfg)
     start.validate(cfg)
-    rng = np.random.default_rng(seed)
     before = _advance(start, load, cfg, NO_POLICY, rejuvenation_tick, rng)
     after = _advance(before[-1], load, cfg, policy, ticks - rejuvenation_tick, rng)
     return before, after[1:]
@@ -754,7 +762,7 @@ def load_trace(path):
 
 def aging_degree(ticks, bandwidth, cfg, name="bandwidth_kbyte"):
     """Bandwidth per tick -> smoothed, normalized aging curve on an hour axis."""
-    ticks = np.asarray(ticks, dtype=float)
+    ticks = _as_readonly_float_array(ticks, "ticks")
     if len(ticks) < 3:
         raise DomainError("aging_degree needs at least 3 states")
     series = MetricSeries(

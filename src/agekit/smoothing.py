@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _is_integral, _is_real
 from .timeseries import MetricSeries, _as_readonly_float_array
 
 MIN_WINDOW = 2  # a lone point fits no line
@@ -155,23 +155,19 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
 
     t may come in any order; the result follows the caller's order.
     """
-    if not (0.0 < fraction <= 1.0):
+    if not (_is_real(fraction) and 0.0 < fraction <= 1.0):
         raise DomainError(f"fraction out of range (0, 1]: {fraction}")
-    if int(robust_iterations) != robust_iterations or robust_iterations < 0:
+    if not _is_integral(robust_iterations) or robust_iterations < 0:
         raise DomainError(
             f"robust_iterations must be a nonnegative integer, got {robust_iterations}"
         )
-    t = _as_readonly_float_array(t, "t")
-    values = _as_readonly_float_array(values, "values")
+    t = _as_readonly_float_array(t, "t", "lowess needs finite t")
+    values = _as_readonly_float_array(values, "values", "lowess needs finite values")
     n = len(t)
     if n < MIN_SAMPLES:
         raise DomainError(f"lowess needs at least {MIN_SAMPLES} samples, got {n}")
     if len(values) != n:
         raise DomainError(f"t and values lengths differ: {n} vs {len(values)}")
-    if not np.all(np.isfinite(t)):
-        raise DomainError("lowess needs finite t")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("lowess needs finite values")
     window = max(MIN_WINDOW, math.ceil(fraction * n))
 
     order = np.argsort(t, kind="stable")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _is_real
+from .timeseries import _as_float_array
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -42,8 +43,8 @@ class Series:
     dashed: bool = False
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = _as_float_array(self.x, "series x")
+        y = _as_float_array(self.y, "series y")
         if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
             raise DomainError("series x and y must be 1-D and equally long")
         if len(x) == 0:
@@ -75,7 +76,7 @@ def nice_ticks(lo, hi, target=5):
     A degenerate span, or one too narrow to step through at its magnitude
     (a step under half an ulp of the values), is padded around its middle.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (_is_real(lo) and _is_real(hi)):
         raise DomainError("tick range must be finite")
     if hi < lo:
         lo, hi = hi, lo

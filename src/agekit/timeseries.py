@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _is_real
 
 CSV_HEADER = ("t", "value")
 
@@ -27,11 +27,21 @@ class Orientation(Enum):
     LOWER_IS_WORSE = "lower-is-worse"
 
 
-def _as_readonly_float_array(values, what):
-    arr = np.asarray(values, dtype=float)
+def _as_float_array(values, what):
+    """``values`` as a float array of any shape; non-numeric input raises DomainError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be numeric") from None
+
+
+def _as_readonly_float_array(values, what, nonfinite=None):
+    """A read-only 1-D float copy; a NaN or inf entry raises ``nonfinite`` when given."""
+    arr = _as_float_array(values, what).copy()
     if arr.ndim != 1:
         raise DomainError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    arr = arr.copy()
+    if nonfinite is not None and not np.isfinite(arr).all():
+        raise DomainError(nonfinite)
     arr.flags.writeable = False
     return arr
 
@@ -51,18 +61,14 @@ class MetricSeries:
     def __post_init__(self):
         if not isinstance(self.orientation, Orientation):
             raise DomainError(f"orientation must be an Orientation, got {self.orientation!r}")
-        t = _as_readonly_float_array(self.t, "t")
-        values = _as_readonly_float_array(self.values, "values")
+        t = _as_readonly_float_array(self.t, "t", "series has non-finite timestamps")
+        values = _as_readonly_float_array(self.values, "values", "series has non-finite values")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", values)
         if len(t) != len(values):
             raise DomainError(f"t and values lengths differ: {len(t)} vs {len(values)}")
         if len(t) == 0:
             raise DomainError("series is empty")
-        if not np.all(np.isfinite(t)):
-            raise DomainError("series has non-finite timestamps")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("series has non-finite values")
         if t[0] < 0:
             raise DomainError(f"timestamps must be nonnegative, first is {t[0]}")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
@@ -81,7 +87,7 @@ def rescale_time(series, factor):
 
     The usual call converts seconds to hours with factor 1/3600.
     """
-    if not np.isfinite(factor) or factor <= 0:
+    if not (_is_real(factor) and factor > 0):
         raise DomainError(f"time rescale factor must be positive and finite, got {factor}")
     return MetricSeries(
         name=series.name,

@@ -187,6 +187,18 @@ class TestExitCodes:
         )
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["rejuvenate", "--policy", "cache-hit", "--rejuvenation-tick", "5"]],
+    )
+    def test_negative_seed_is_a_domain_error(self, tmp_path, capsys, command):
+        out = tmp_path / "t.csv"
+        assert main([*command, "--ticks", "10", "--seed", "-1", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "agekit: error: seed must be a nonnegative integer, got -1\n"
+        )
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("flux_capacitor=1\n")

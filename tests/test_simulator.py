@@ -529,6 +529,19 @@ class TestRunAndExperiment:
         b = trace_csv(run(cfg, load, ticks=400, seed=1))
         assert a != b
 
+    @pytest.mark.parametrize("seed", [-1, None, 2.5, math.nan, "0", 10**400])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        cfg, load = SimConfig(), parse_workload(AGING_LOAD)
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            run(cfg, load, ticks=3, seed=seed)
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            apply_policy_experiment(cfg, load, NO_POLICY, 3, 1, seed=seed)
+
+    def test_integral_float_and_huge_seeds_are_accepted(self):
+        cfg, load = SimConfig(), parse_workload(AGING_LOAD)
+        assert run(cfg, load, ticks=50, seed=7.0) == run(cfg, load, ticks=50, seed=7)
+        assert len(run(cfg, load, ticks=5, seed=2**64 + 1)) == 6
+
     def test_experiment_splits_at_rejuvenation_tick(self):
         cfg = SimConfig()
         load = parse_workload(AGING_LOAD)
@@ -806,6 +819,43 @@ class TestTickKernel:
         assert step(state, load, cfg) == first
         assert step(state, load, cfg, NO_POLICY, np.random.default_rng(0)) == first
         assert state == init_state(cfg)
+
+    def test_working_set_clamp_is_reached(self):
+        # backlog parked in cache is not throttled by free memory, so a large
+        # backlog gain drives the working set into the total-memory clamp
+        cfg = SimConfig(backlog_cache_gain=0.01)
+        states = run(cfg, parse_workload(AGING_LOAD), ticks=4000, seed=0)
+        clamped = [s.tick for s in states if s.working_set_mb == cfg.total_memory_mb]
+        assert clamped and clamped[0] == 1510
+        for s in states:
+            s.validate(cfg)
+
+    def test_states_follow_the_public_laws_bit_for_bit(self):
+        # the kernel inlines bandwidth_for, read_latency and aging_level for speed
+        cfg = SimConfig()
+        doublings = resets = 0
+        for file_dist in FileDist:
+            load = parse_workload(f"600,{int(file_dist)},100,20,1000,0")
+            for variant in PolicyVariant:
+                policy = policy_of(variant, PINNED_TRIGGER)
+                states = run(cfg, load, policy, ticks=3000, seed=3)
+                for prev, cur in zip(states, states[1:]):
+                    assert cur.bandwidth_kbyte == bandwidth_for(
+                        cur.disk_queue_len, cur.working_set_mb, cfg
+                    )
+                    armed = aging_level(prev, cfg) >= PINNED_TRIGGER
+                    if variant is PolicyVariant.DISK_BLOCK_RESET and armed:
+                        assert cur.block_kb == cfg.base_block_kb
+                        resets += 1
+                        continue
+                    block = prev.block_kb
+                    ratio = cfg.blocksize_trigger_ratio * (block / cfg.base_block_kb)
+                    if block < cfg.max_block_kb and read_latency(prev, cfg) > ratio:
+                        block = min(block * 2.0, cfg.max_block_kb)
+                        doublings += 1
+                    assert cur.block_kb == block
+        # both branches of the block law ran
+        assert doublings > 0 and resets > 0
 
 
 def recursion_pmf(file_object, mean_fraction):
