@@ -11,10 +11,14 @@ one with alpha = 0 (the solver's active bound) and one with alpha > 0. Each
 row gives the iterations, whether the solver reported convergence, the final
 SSR and the final largest free-column cosine |J_j^T r| / (||J_j|| ||r||),
 computed here from the returned parameters so that every checkout is judged
-by the same rule. agekit is imported from the path, so pointing PYTHONPATH
+by the same rule, and the first call's time apart from the best of 3
+(first_s): a first call that pays for waking a BLAS thread shows there and
+not in best_s. agekit is imported from the path, so pointing PYTHONPATH
 at another checkout's src/ sweeps that checkout with the same inputs. Not
 part of the test suite: the largest size takes seconds per call.
 """
+
+import time
 
 import numpy as np
 
@@ -61,12 +65,15 @@ def main():
     rows = []
     for name, n, (t, y) in cases:
         start = fitting._initial_guess(t, y)
+        began = time.perf_counter()
         result = fitting.levenberg_marquardt(t, y, start)
+        first_s = time.perf_counter() - began
         rows.append(
             {
                 "layer": "levenberg_marquardt",
                 "input": name,
                 "n": len(t),
+                "first_s": round(first_s, 6),
                 "best_s": round(best_time(lambda: fitting.levenberg_marquardt(t, y, start)), 6),
                 "iterations": result.iterations,
                 "converged": result.converged,

@@ -117,7 +117,9 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     theta = _project(np.asarray(start, dtype=float))
     f, jac = _model_and_jacobian(theta, t, log_t)
     residual = y - f
-    ssr = float(residual @ residual)
+    # not residual @ residual: past 10 000 elements OpenBLAS threads ddot, and a
+    # second thread waking from idle stalls each such dot by milliseconds
+    ssr = float(np.einsum("i,i->", residual, residual))
     ssr_path = [ssr]
     lam = LAMBDA_START
     converged = False
@@ -151,7 +153,7 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
             with np.errstate(over="ignore", invalid="ignore"):  # such a step is rejected below
                 f_new, jac_new = _model_and_jacobian(candidate, t, log_t)
                 residual_new = y - f_new
-                ssr_new = float(residual_new @ residual_new)
+                ssr_new = float(np.einsum("i,i->", residual_new, residual_new))
             if np.isfinite(ssr_new) and ssr_new < ssr:
                 step = np.abs(candidate - theta)
                 scale = np.maximum(np.abs(candidate), np.abs(theta))

@@ -14,11 +14,18 @@ windows (zero outside each row's own window), sums taken with matrix
 products, and a centred second pass for the slope. A fixed element budget
 bounds each block, so the weight matrices do not grow with n.
 
-On a uniform grid all interior windows are symmetric and share one tricube
-kernel. A symmetric kernel puts the weighted mean of t at the row itself,
-where the local line equals the kernel-weighted mean of the values, so the
-first pass computes the whole interior as one convolution. The edge bands
-and every robustness pass, whose weights differ per row, use the block fit.
+On a uniform grid, rows that share weights are fitted from moments instead.
+All interior windows are symmetric and share one tricube kernel K. A
+symmetric kernel puts the weighted mean of t at the row itself, where the
+local line equals the kernel-weighted mean of the values, so the first pass
+computes the whole interior as one convolution; in a robustness pass the
+weight of j in row i is K(j-i)*delta_j, so the five moments of the local line
+are five correlations. A left-edge row and its mirror on the right edge
+share one row of tricube weights, one against the series and one against its
+reverse, so one block of weights gives both bands' moments in one matrix
+product per pass. The pairing is read off the computed windows, never
+assumed. Rows whose moments are ill posed (a window zeroed by robustness,
+or weight at one place) and every row of an irregular grid use the block fit.
 """
 
 import math
@@ -36,6 +43,12 @@ BLOCK_ELEMENTS = 1 << 15
 # largest grid deviation from t0 + i*h, relative to the window radius, at
 # which the uniform interior shares one kernel
 UNIFORM_TOLERANCE = 1e-13
+# a mirrored pair of edge rows shares weights only if their radii agree this closely
+_MIRROR_TOLERANCE = 1e-12
+# a row fitted from moments needs S0*S2 - S1^2 above this share of S0*S2: the
+# cancellation there costs about eps*S0*S2/(S0*S2 - S1^2) of relative
+# precision, so below it the row goes to _fit_rows' centred second pass
+_CONDITION_FLOOR = 1e-6
 
 
 def _first_true(pred, lo, hi, last):
@@ -120,11 +133,12 @@ def _fit_rows(t, values, rows, lo, hi, d_max, robustness):
         # in-place arithmetic keeps a block to three matrices
         w = np.abs(x)
         w /= d_max[r, None]
+        # points past d_max have u > 1 and get weight 0; clipping u before the
+        # cube keeps a point far outside the window from overflowing it
+        np.minimum(w, 1.0, out=w)
         cube = w * w
         cube *= w
-        # points past d_max have u > 1 and get weight 0
         np.subtract(1.0, cube, out=cube)
-        np.maximum(cube, 0.0, out=cube)
         np.multiply(cube, cube, out=w)
         w *= cube
         if robustness is not None:
@@ -148,6 +162,134 @@ def _fit_rows(t, values, rows, lo, hi, d_max, robustness):
             out[k] = np.mean(values[lo[r[k]] : hi[r[k]]])
         fitted[start:end] = out
     return fitted
+
+
+def _line_at(s0, s1, s2, sy, sxy, x0):
+    """Value at x0 of the weighted line with moments S0..Sxy, and whether it is well posed.
+
+    The weighted x variance comes from S0*S2 - S1^2, which cancels when the
+    weight sits at one place or a robustness pass zeroes the window; a row
+    where it is not clearly positive is not well posed here.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_bar = s1 / s0
+        y_bar = sy / s0
+        var = s2 / s0 - x_bar * x_bar
+        cov = sxy / s0 - x_bar * y_bar
+        value = y_bar + cov / var * (x0 - x_bar)
+        ok = var > _CONDITION_FLOOR * (s2 / s0)
+    return value, ok
+
+
+def _interior_line(values, robustness, half):
+    """Fit of every row i in [half, n-half) under the shared kernel on [i-half, i+half].
+
+    Entry k is row k + half. Returns the values and whether each is well posed.
+    """
+    offsets = np.arange(-half, half + 1)
+    u = np.abs(offsets) / half
+    kernel = (1.0 - u * u * u) ** 3
+    if robustness is None:
+        # a symmetric kernel puts the weighted mean of t at the row itself,
+        # where the local line equals the kernel-weighted mean of the values
+        means = np.convolve(values, kernel, "valid") / kernel.sum()
+        return means, np.ones(len(means), dtype=bool)
+    # the weight of j in row i is K(j-i)*delta_j: each moment is one correlation
+    weighted = robustness * values
+    s0, s1, s2 = (np.correlate(robustness, kernel * offsets**p, "valid") for p in range(3))
+    sy, sxy = (np.correlate(weighted, kernel * offsets**p, "valid") for p in range(2))
+    return _line_at(s0, s1, s2, sy, sxy, 0.0)
+
+
+def _mirrored_rows(rows, lo, hi, d_max):
+    """Left rows i <= n-1-i that share tricube weights with their mirror n-1-i.
+
+    Only _windows' own output decides it: row i's window starts at 0, the
+    mirror's is [n - hi[i], n - lo[i]), and their radii agree. Either row of
+    a returned pair is one of rows.
+    """
+    n = len(lo)
+    wanted = np.zeros(n, dtype=bool)
+    wanted[rows] = True
+    left = np.arange((n + 1) // 2)
+    right = n - 1 - left
+    mirrored = (
+        (wanted[left] | wanted[right])
+        & (lo[left] == 0)
+        & (lo[right] == n - hi[left])
+        & (hi[right] == n)
+        & (np.abs(d_max[right] - d_max[left]) <= _MIRROR_TOLERANCE * d_max[left])
+    )
+    return left[mirrored]
+
+
+def _band_lines(values, robustness, left, lo, hi):
+    """Fits of the mirrored rows left and n-1-left from one tricube block.
+
+    Row i weighs column j by tricube(|j - i| / r_i), r_i being the index
+    distance of its window's farthest point, over the union [0, width) of the
+    windows; the right band is the same block applied to the reversed series.
+    Moments are taken about the block's centre. Returns (value, ok) per side.
+    """
+    width = int(hi[left].max())
+    radius = np.maximum(left - lo[left], hi[left] - 1 - left)
+    x = np.arange(width) - (width - 1) / 2
+    ends = [values[:width], values[::-1][:width]]
+    if robustness is None:
+        columns = [np.ones(width), x, x * x]
+        for y in ends:
+            columns += [y, x * y]
+        picks = ([0, 1, 2, 3, 4], [0, 1, 2, 5, 6])
+    else:
+        columns = []
+        for y, delta in zip(ends, [robustness[:width], robustness[::-1][:width]]):
+            columns += [delta, delta * x, delta * x * x, delta * y, delta * x * y]
+        picks = (slice(0, 5), slice(5, 10))
+    columns = np.column_stack(columns)
+
+    sums = np.empty((len(left), columns.shape[1]))
+    j = np.arange(width, dtype=float)
+    rows = left.astype(float)
+    inverse = 1.0 / radius
+    step = max(1, BLOCK_ELEMENTS // width)
+    for start in range(0, len(left), step):
+        w = np.subtract.outer(rows[start : start + step], j)
+        np.abs(w, out=w)
+        w *= inverse[start : start + step, None]
+        np.minimum(w, 1.0, out=w)  # past the radius the weight is 0
+        cube = w * w
+        cube *= w
+        np.subtract(1.0, cube, out=cube)
+        np.multiply(cube, cube, out=w)
+        w *= cube
+        sums[start : start + step] = w @ columns
+    x0 = left - (width - 1) / 2
+    return [_line_at(*sums[:, pick].T, x0) for pick in picks]
+
+
+def _fit_pass(t, values, robustness, rows, lo, hi, d_max, shared, smoothed):
+    """Fit the sorted rows into smoothed: shared-weight rows first, every other row by _fit_rows.
+
+    shared is None or (interior rows, kernel half-width, mirrored left rows).
+    """
+    pending = np.zeros(len(t), dtype=bool)
+    pending[rows] = True
+    if shared is not None:
+        interior, half, left = shared
+        if len(interior):
+            value, ok = _interior_line(values, robustness, half)
+            served = interior[ok[interior - half]]
+            smoothed[served] = value[served - half]
+            pending[served] = False
+        if len(left):
+            for band, (value, ok) in zip(
+                (left, len(t) - 1 - left), _band_lines(values, robustness, left, lo, hi)
+            ):
+                take = ok & pending[band]
+                smoothed[band[take]] = value[take]
+                pending[band[take]] = False
+    rest = np.flatnonzero(pending)
+    smoothed[rest] = _fit_rows(t, values, rest, lo, hi, d_max, robustness)
 
 
 def lowess_values(t, values, fraction=0.3, robust_iterations=0):
@@ -186,7 +328,7 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
         smoothed[i] = np.mean(values[lo[i] : hi[i]])
     fit = np.flatnonzero(~constant & ~flat)
 
-    general = fit
+    shared = None
     half = window // 2
     if _is_uniform(t, half):
         # interior rows: window inside [i-H, i+H]; it holds at least 2H points,
@@ -197,13 +339,8 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
             & (lo[fit] >= fit - half)
             & (hi[fit] <= fit + half + 1)
         )
-        if interior.any():
-            u = np.abs(np.arange(-half, half + 1)) / half
-            kernel = (1.0 - u * u * u) ** 3
-            means = np.convolve(values, kernel, "valid") / kernel.sum()
-            smoothed[fit[interior]] = means[fit[interior] - half]
-            general = fit[~interior]
-    smoothed[general] = _fit_rows(t, values, general, lo, hi, d_max, None)
+        shared = (fit[interior], half, _mirrored_rows(fit[~interior], lo, hi, d_max))
+    _fit_pass(t, values, None, fit, lo, hi, d_max, shared, smoothed)
 
     for _ in range(int(robust_iterations)):
         residuals = values - smoothed
@@ -212,7 +349,7 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
             break
         u = np.clip(residuals / (6.0 * scale), -1.0, 1.0)
         robustness = (1.0 - u**2) ** 2
-        smoothed[fit] = _fit_rows(t, values, fit, lo, hi, d_max, robustness)
+        _fit_pass(t, values, robustness, fit, lo, hi, d_max, shared, smoothed)
 
     out = np.empty(n)
     out[order] = smoothed

@@ -504,3 +504,12 @@ class TestModuleEntrypoint:
         done = self.agekit("simulate", "--workload", "950,0,20,20,1000,0", "-o", out)
         assert done.returncode == 3
         assert done.stderr.startswith("agekit: error: client_count (950) exceeds capacity_clients")
+
+    def test_smooth_over_a_vast_gap_writes_nothing_to_stderr(self, tmp_path):
+        # the cube of |t_j - t_i| / d_max overflows far outside the first two
+        # rows' windows; those points weigh 0 and numpy must not warn about it
+        src = tmp_path / "raw.csv"
+        src.write_text("t,value\n0.0,1.0\n0.125,0.0\n1.6759759912428246e+153,0.0\n")
+        done = self.agekit("smooth", str(src), str(tmp_path / "smooth.csv"))
+        assert done.returncode == 0
+        assert done.stderr == ""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from agekit import smoothing
 from agekit.errors import DomainError
 from agekit.smoothing import lowess, lowess_values
 from agekit.timeseries import MetricSeries, Orientation
@@ -208,6 +209,151 @@ class TestOracleEquivalence:
         ours = lowess_values(t, v, 0.3, 1)
         ref = np.array(reference_lowess(t, v, 0.3, 1))
         assert np.max(np.abs(ours - ref)) <= 1e-9
+
+
+def row_by_row_passes(t, values, fraction, robust_iterations):
+    """The smoothed values after each pass, every fitted row by _windows and _fit_rows.
+
+    The pass loop, constant rows and zero-radius rows are those of
+    lowess_values, but no row shares weights with another: this is the
+    oracle for the uniform-grid moment paths.
+    """
+    n = len(t)
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    values = values[order]
+    lo, hi, d_max = smoothing._windows(t, max(2, math.ceil(fraction * n)))
+    smoothed = np.empty(n)
+    fit = []
+    for i in range(n):
+        window = values[lo[i] : hi[i]]
+        if np.all(window == window[0]):
+            smoothed[i] = window[0]
+        elif d_max[i] == 0.0:
+            smoothed[i] = np.mean(window)
+        else:
+            fit.append(i)
+    fit = np.array(fit, dtype=np.intp)
+    robustness = None
+    passes = []
+    for _ in range(robust_iterations + 1):
+        smoothed[fit] = smoothing._fit_rows(t, values, fit, lo, hi, d_max, robustness)
+        out = np.empty(n)
+        out[order] = smoothed
+        passes.append(out)
+        residuals = values - smoothed
+        scale = np.median(np.abs(residuals))
+        if scale == 0.0:
+            break
+        u = np.clip(residuals / (6.0 * scale), -1.0, 1.0)
+        robustness = (1.0 - u**2) ** 2
+    return passes
+
+
+def uniform_case(seed, n, grid, outlier_share):
+    """A random walk on a uniform grid with a share of its points thrown far off."""
+    rng = np.random.default_rng(seed)
+    ticks = np.arange(n)
+    t = {
+        "arange": ticks.astype(float),
+        "ticks": ticks * 15 / 3600,
+        "offset": 37.5 + ticks * 15 / 3600,
+    }[grid]
+    values = np.cumsum(rng.normal(0.0, 1.0, n))
+    hit = rng.random(n) < outlier_share
+    sign = rng.choice([-1.0, 1.0], int(hit.sum()))
+    values[hit] += sign * rng.uniform(2.0, 20.0, int(hit.sum())) * (np.ptp(values) + 1.0)
+    return t, values
+
+
+def fitted_by_rows(monkeypatch, t, values, fraction, robust_iterations):
+    """lowess_values' result and, per pass, the rows it handed to _fit_rows."""
+    handed = []
+    fit_rows = smoothing._fit_rows
+
+    def recording(t, values, rows, *rest):
+        handed.append(set(rows.tolist()))
+        return fit_rows(t, values, rows, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(smoothing, "_fit_rows", recording)
+        out = lowess_values(t, values, fraction, robust_iterations)
+    return out, handed
+
+
+class TestSharedWeights:
+    """On a uniform grid, rows fitted from shared weights match _fit_rows row by row."""
+
+    def test_matches_row_by_row_fit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            # a second, wide range keeps most draws past the smallest sizes
+            n=st.integers(3, 2000) | st.integers(200, 2000),
+            grid=st.sampled_from(["arange", "ticks", "offset"]),
+            fraction=st.floats(0.0, 1.0, exclude_min=True),
+            iterations=st.integers(0, 3),
+            outlier_share=st.sampled_from([0.0, 0.02, 0.2]),
+        )
+        def check(seed, n, grid, fraction, iterations, outlier_share):
+            t, v = uniform_case(seed, n, grid, outlier_share)
+            passes = row_by_row_passes(t, v, fraction, iterations)
+            for done in passes[:iterations]:
+                # the next pass is comparable only where its robustness weights
+                # are not made of rounding noise (see TestOracleEquivalence);
+                # a pass that fits every point exactly stops the oracle here
+                hypothesis.assume(np.median(np.abs(v - done)) > 1e-6 * (np.ptp(v) + 1.0))
+            ours = lowess_values(t, v, fraction, iterations)
+            assert np.max(np.abs(ours - passes[-1])) <= 1e-10 * (np.ptp(v) + 1.0)
+
+        check()
+
+    def test_zeroed_robust_window_on_the_band_goes_to_fit_rows(self, monkeypatch):
+        # window 10: rows 0-4 see only points 0-9, and the weight at 9 is 0;
+        # points 0-8 alternate far off, so one robust pass zeroes those rows
+        rng = np.random.default_rng(21)
+        t = np.arange(40) * 15 / 3600
+        v = rng.normal(0.0, 1.0, 40)
+        v[:9] = [100.0, -100.0] * 4 + [100.0]
+        ours, handed = fitted_by_rows(monkeypatch, t, v, 0.25, 1)
+        assert {0, 1, 2, 3, 4} <= handed[-1]
+        assert np.all(ours[:5] == np.mean(v[:10]))
+        assert np.max(np.abs(ours - row_by_row_passes(t, v, 0.25, 1)[-1])) <= 1e-12 * np.ptp(v)
+
+    def test_band_row_with_all_weight_at_one_place_goes_to_fit_rows(self, monkeypatch):
+        # window 2: the edge rows weigh only themselves, so S0*S2 - S1^2 = 0
+        rng = np.random.default_rng(22)
+        t = np.arange(10, dtype=float)
+        v = rng.normal(0.0, 1.0, 10)
+        ours, handed = fitted_by_rows(monkeypatch, t, v, 0.2, 0)
+        assert handed == [{0, 9}]
+        assert ours[0] == v[0] and ours[9] == v[9]
+        assert np.max(np.abs(ours - row_by_row_passes(t, v, 0.2, 0)[-1])) <= 1e-12
+
+    @pytest.mark.parametrize("change", ["window", "radius"])
+    def test_mirrored_rows_that_differ_go_to_fit_rows(self, monkeypatch, change):
+        # the pairing is read off _windows' output, so a mirror row whose
+        # window or radius does not mirror row 0's must not share its weights
+        windows = smoothing._windows
+
+        def skewed(t, window):
+            lo, hi, d_max = windows(t, window)
+            if change == "window":
+                lo[-1] -= 1
+            else:
+                d_max[-1] *= 1.0 + 1e-9
+            return lo, hi, d_max
+
+        monkeypatch.setattr(smoothing, "_windows", skewed)
+        rng = np.random.default_rng(23)
+        t = np.arange(60) * 15 / 3600
+        v = np.cumsum(rng.normal(0.0, 1.0, 60))
+        ours, handed = fitted_by_rows(monkeypatch, t, v, 0.3, 1)
+        assert all({0, 59} <= rows and 1 not in rows for rows in handed)
+        assert np.max(np.abs(ours - row_by_row_passes(t, v, 0.3, 1)[-1])) <= 1e-12 * np.ptp(v)
 
 
 class TestEquivariance:
