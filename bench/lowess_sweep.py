@@ -5,10 +5,10 @@
 Times lowess_values at the default fraction 0.3, best of 3 calls, at
 n = 1k, 4k, 16k and 64k on two grids: the simulator's uniform hour axis
 (tick * 15 / 3600) and an irregular axis with 20-100 s gaps. Three more rows
-time 4k, 16k and 64k on the uniform grid with 2 robustness passes, the
-case where every pass on that grid fits from moments. agekit is imported
-from the path, so pointing PYTHONPATH at another checkout's src/ sweeps that
-checkout with the same inputs. Not part of the test suite: the largest sizes
+time 4k, 16k and 64k on the uniform grid with 2 robustness passes, which
+run the block fit on every row. agekit is imported from the path, so
+pointing PYTHONPATH at another checkout's src/ sweeps that checkout with the
+same inputs. Not part of the test suite: the largest sizes
 take minutes on code that is quadratic in n.
 """
 

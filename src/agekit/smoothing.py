@@ -14,18 +14,17 @@ windows (zero outside each row's own window), sums taken with matrix
 products, and a centred second pass for the slope. A fixed element budget
 bounds each block, so the weight matrices do not grow with n.
 
-On a uniform grid, rows that share weights are fitted from moments instead.
-All interior windows are symmetric and share one tricube kernel K. A
+On a uniform grid the first pass fits the rows that share weights from
+moments. All interior windows are symmetric and share one tricube kernel. A
 symmetric kernel puts the weighted mean of t at the row itself, where the
-local line equals the kernel-weighted mean of the values, so the first pass
-computes the whole interior as one convolution; in a robustness pass the
-weight of j in row i is K(j-i)*delta_j, so the five moments of the local line
-are five correlations. A left-edge row and its mirror on the right edge
-share one row of tricube weights, one against the series and one against its
-reverse, so one block of weights gives both bands' moments in one matrix
-product per pass. The pairing is read off the computed windows, never
-assumed. Rows whose moments are ill posed (a window zeroed by robustness,
-or weight at one place) and every row of an irregular grid use the block fit.
+local line equals the kernel-weighted mean of the values, so the whole
+interior is one convolution. A left-edge row and its mirror on the right
+edge share one row of tricube weights, one against the series and one
+against its reverse, so one block of weights gives both bands' moments in
+one matrix product. The pairing is read off the computed windows, never
+assumed. Rows whose moments are ill posed (weight at one place), every
+robustness pass, whose weights differ per row, and every row of an
+irregular grid use the block fit.
 """
 
 import math
@@ -43,8 +42,6 @@ BLOCK_ELEMENTS = 1 << 15
 # largest grid deviation from t0 + i*h, relative to the window radius, at
 # which the uniform interior shares one kernel
 UNIFORM_TOLERANCE = 1e-13
-# a mirrored pair of edge rows shares weights only if their radii agree this closely
-_MIRROR_TOLERANCE = 1e-12
 # a row fitted from moments needs S0*S2 - S1^2 above this share of S0*S2: the
 # cancellation there costs about eps*S0*S2/(S0*S2 - S1^2) of relative
 # precision, so below it the row goes to _fit_rows' centred second pass
@@ -132,10 +129,11 @@ def _fit_rows(t, values, rows, lo, hi, d_max, robustness):
         x = t[c0:c1] - t[r, None]  # signed offsets; |x| is the distance
         # in-place arithmetic keeps a block to three matrices
         w = np.abs(x)
+        # points past d_max get u = 1 and weight 0; clipping the distance
+        # before the division keeps a point far outside the window from
+        # overflowing u or its cube (d/d is exactly 1)
+        np.minimum(w, d_max[r, None], out=w)
         w /= d_max[r, None]
-        # points past d_max have u > 1 and get weight 0; clipping u before the
-        # cube keeps a point far outside the window from overflowing it
-        np.minimum(w, 1.0, out=w)
         cube = w * w
         cube *= w
         np.subtract(1.0, cube, out=cube)
@@ -157,6 +155,8 @@ def _fit_rows(t, values, rows, lo, hi, d_max, robustness):
             out = v_bar - sxv / sxx * x_bar
         # all effective weight at one location: no slope to estimate
         out = np.where(sxx > 0.0, out, v_bar)
+        # an x variance past the float range leaves the slope unknown, not 0
+        out[np.isinf(sxx)] = np.nan
         for k in np.flatnonzero(total <= 0.0):
             # a robustness pass can zero out a whole window; fall back to the plain mean
             out[k] = np.mean(values[lo[r[k]] : hi[r[k]]])
@@ -168,8 +168,8 @@ def _line_at(s0, s1, s2, sy, sxy, x0):
     """Value at x0 of the weighted line with moments S0..Sxy, and whether it is well posed.
 
     The weighted x variance comes from S0*S2 - S1^2, which cancels when the
-    weight sits at one place or a robustness pass zeroes the window; a row
-    where it is not clearly positive is not well posed here.
+    weight sits at one place; a row where it is not clearly positive is not
+    well posed here.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         x_bar = s1 / s0
@@ -181,32 +181,12 @@ def _line_at(s0, s1, s2, sy, sxy, x0):
     return value, ok
 
 
-def _interior_line(values, robustness, half):
-    """Fit of every row i in [half, n-half) under the shared kernel on [i-half, i+half].
-
-    Entry k is row k + half. Returns the values and whether each is well posed.
-    """
-    offsets = np.arange(-half, half + 1)
-    u = np.abs(offsets) / half
-    kernel = (1.0 - u * u * u) ** 3
-    if robustness is None:
-        # a symmetric kernel puts the weighted mean of t at the row itself,
-        # where the local line equals the kernel-weighted mean of the values
-        means = np.convolve(values, kernel, "valid") / kernel.sum()
-        return means, np.ones(len(means), dtype=bool)
-    # the weight of j in row i is K(j-i)*delta_j: each moment is one correlation
-    weighted = robustness * values
-    s0, s1, s2 = (np.correlate(robustness, kernel * offsets**p, "valid") for p in range(3))
-    sy, sxy = (np.correlate(weighted, kernel * offsets**p, "valid") for p in range(2))
-    return _line_at(s0, s1, s2, sy, sxy, 0.0)
-
-
-def _mirrored_rows(rows, lo, hi, d_max):
+def _mirrored_rows(rows, lo, hi):
     """Left rows i <= n-1-i that share tricube weights with their mirror n-1-i.
 
-    Only _windows' own output decides it: row i's window starts at 0, the
-    mirror's is [n - hi[i], n - lo[i]), and their radii agree. Either row of
-    a returned pair is one of rows.
+    Only _windows' own output decides it: row i's window starts at 0 and the
+    mirror's is [n - hi[i], n - lo[i]). Either row of a returned pair is one
+    of rows.
     """
     n = len(lo)
     wanted = np.zeros(n, dtype=bool)
@@ -218,12 +198,11 @@ def _mirrored_rows(rows, lo, hi, d_max):
         & (lo[left] == 0)
         & (lo[right] == n - hi[left])
         & (hi[right] == n)
-        & (np.abs(d_max[right] - d_max[left]) <= _MIRROR_TOLERANCE * d_max[left])
     )
     return left[mirrored]
 
 
-def _band_lines(values, robustness, left, lo, hi):
+def _band_lines(values, left, lo, hi):
     """Fits of the mirrored rows left and n-1-left from one tricube block.
 
     Row i weighs column j by tricube(|j - i| / r_i), r_i being the index
@@ -234,18 +213,9 @@ def _band_lines(values, robustness, left, lo, hi):
     width = int(hi[left].max())
     radius = np.maximum(left - lo[left], hi[left] - 1 - left)
     x = np.arange(width) - (width - 1) / 2
-    ends = [values[:width], values[::-1][:width]]
-    if robustness is None:
-        columns = [np.ones(width), x, x * x]
-        for y in ends:
-            columns += [y, x * y]
-        picks = ([0, 1, 2, 3, 4], [0, 1, 2, 5, 6])
-    else:
-        columns = []
-        for y, delta in zip(ends, [robustness[:width], robustness[::-1][:width]]):
-            columns += [delta, delta * x, delta * x * x, delta * y, delta * x * y]
-        picks = (slice(0, 5), slice(5, 10))
-    columns = np.column_stack(columns)
+    y = values[:width]
+    y_rev = values[::-1][:width]
+    columns = np.column_stack([np.ones(width), x, x * x, y, x * y, y_rev, x * y_rev])
 
     sums = np.empty((len(left), columns.shape[1]))
     j = np.arange(width, dtype=float)
@@ -264,34 +234,41 @@ def _band_lines(values, robustness, left, lo, hi):
         w *= cube
         sums[start : start + step] = w @ columns
     x0 = left - (width - 1) / 2
-    return [_line_at(*sums[:, pick].T, x0) for pick in picks]
+    s0, s1, s2, sy, sxy, sy_rev, sxy_rev = sums.T
+    return _line_at(s0, s1, s2, sy, sxy, x0), _line_at(s0, s1, s2, sy_rev, sxy_rev, x0)
 
 
-def _fit_pass(t, values, robustness, rows, lo, hi, d_max, shared, smoothed):
-    """Fit the sorted rows into smoothed: shared-weight rows first, every other row by _fit_rows.
+def _fit_shared_rows(values, fit, lo, hi, half, smoothed):
+    """First pass on a uniform grid: fit the rows that share weights into smoothed.
 
-    shared is None or (interior rows, kernel half-width, mirrored left rows).
+    Returns the rows of fit left for _fit_rows.
     """
-    pending = np.zeros(len(t), dtype=bool)
-    pending[rows] = True
-    if shared is not None:
-        interior, half, left = shared
-        if len(interior):
-            value, ok = _interior_line(values, robustness, half)
-            served = interior[ok[interior - half]]
-            smoothed[served] = value[served - half]
-            pending[served] = False
-        if len(left):
-            for band, (value, ok) in zip(
-                (left, len(t) - 1 - left), _band_lines(values, robustness, left, lo, hi)
-            ):
-                take = ok & pending[band]
-                smoothed[band[take]] = value[take]
-                pending[band[take]] = False
-    rest = np.flatnonzero(pending)
-    smoothed[rest] = _fit_rows(t, values, rest, lo, hi, d_max, robustness)
+    n = len(values)
+    pending = np.zeros(n, dtype=bool)
+    pending[fit] = True
+    # interior rows: window inside [i-H, i+H]; it holds at least 2H points,
+    # so it misses at most one end, which would sit at d_max and weigh 0
+    interior = fit[
+        (fit >= half) & (fit < n - half) & (lo[fit] >= fit - half) & (hi[fit] <= fit + half + 1)
+    ]
+    if len(interior):
+        u = np.abs(np.arange(-half, half + 1)) / half
+        kernel = (1.0 - u * u * u) ** 3
+        means = np.convolve(values, kernel, "valid") / kernel.sum()
+        smoothed[interior] = means[interior - half]
+        pending[interior] = False
+    left = _mirrored_rows(np.flatnonzero(pending), lo, hi)
+    if len(left):
+        for band, (value, ok) in zip((left, n - 1 - left), _band_lines(values, left, lo, hi)):
+            take = ok & pending[band]
+            smoothed[band[take]] = value[take]
+            pending[band[take]] = False
+    return np.flatnonzero(pending)
 
 
+# a span of t or values too large for float64 sums leave the fit non-finite;
+# that is reported once, as a DomainError, in place of numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def lowess_values(t, values, fraction=0.3, robust_iterations=0):
     """Core array-level lowess. Returns smoothed values on the same grid.
 
@@ -328,19 +305,11 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
         smoothed[i] = np.mean(values[lo[i] : hi[i]])
     fit = np.flatnonzero(~constant & ~flat)
 
-    shared = None
+    general = fit
     half = window // 2
     if _is_uniform(t, half):
-        # interior rows: window inside [i-H, i+H]; it holds at least 2H points,
-        # so it misses at most one end, which would sit at d_max and weigh 0
-        interior = (
-            (fit >= half)
-            & (fit < n - half)
-            & (lo[fit] >= fit - half)
-            & (hi[fit] <= fit + half + 1)
-        )
-        shared = (fit[interior], half, _mirrored_rows(fit[~interior], lo, hi, d_max))
-    _fit_pass(t, values, None, fit, lo, hi, d_max, shared, smoothed)
+        general = _fit_shared_rows(values, fit, lo, hi, half, smoothed)
+    smoothed[general] = _fit_rows(t, values, general, lo, hi, d_max, None)
 
     for _ in range(int(robust_iterations)):
         residuals = values - smoothed
@@ -349,8 +318,10 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
             break
         u = np.clip(residuals / (6.0 * scale), -1.0, 1.0)
         robustness = (1.0 - u**2) ** 2
-        _fit_pass(t, values, robustness, fit, lo, hi, d_max, shared, smoothed)
+        smoothed[fit] = _fit_rows(t, values, fit, lo, hi, d_max, robustness)
 
+    if not np.all(np.isfinite(smoothed)):
+        raise DomainError("lowess overflowed: the span of t or the values are too large")
     out = np.empty(n)
     out[order] = smoothed
     return out

@@ -505,11 +505,20 @@ class TestModuleEntrypoint:
         assert done.returncode == 3
         assert done.stderr.startswith("agekit: error: client_count (950) exceeds capacity_clients")
 
-    def test_smooth_over_a_vast_gap_writes_nothing_to_stderr(self, tmp_path):
-        # the cube of |t_j - t_i| / d_max overflows far outside the first two
-        # rows' windows; those points weigh 0 and numpy must not warn about it
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # the cube of |t_j - t_i| / d_max would overflow far outside the
+            # first two rows' windows
+            ["0.0,1.0", "0.125,0.0", "1.6759759912428246e+153,0.0"],
+            # row 0's radius is 5e-324, so 1 / d_max alone would overflow
+            ["0.0,1.0", "5e-324,0.0", "1.0,0.0"],
+        ],
+    )
+    def test_smooth_over_a_vast_gap_writes_nothing_to_stderr(self, tmp_path, rows):
+        # the far points weigh 0 and numpy must not warn about them
         src = tmp_path / "raw.csv"
-        src.write_text("t,value\n0.0,1.0\n0.125,0.0\n1.6759759912428246e+153,0.0\n")
+        src.write_text("\n".join(["t,value", *rows]) + "\n")
         done = self.agekit("smooth", str(src), str(tmp_path / "smooth.csv"))
         assert done.returncode == 0
         assert done.stderr == ""

@@ -95,6 +95,23 @@ class TestExactCases:
         with pytest.raises(DomainError, match="lengths differ"):
             lowess_values([0.0, 1.0, 2.0], [1.0, 2.0], 0.3, 0)
 
+    def test_fit_past_the_float_range_is_a_domain_error(self):
+        # the last row's x variance overflows; dropping its slope would give
+        # 0.78 where the fit on t / 1e150 gives 1
+        t = [0.0, 1.2212970683030309e154, 4.0771947691569413e154]
+        assert lowess_values(np.array(t) / 1e150, [0.0, 0.0, 1.0], 1.0, 0)[2] == 1.0
+        with pytest.raises(DomainError, match="overflowed"):
+            lowess_values(t, [0.0, 0.0, 1.0], 1.0, 0)
+
+    def test_robust_pass_with_a_subnormal_residual_scale(self):
+        # residual / (6 * scale) overflows near the outlier, whose window then
+        # weighs 0 all the same; no floating-point warning may escape
+        rng = np.random.default_rng(7)
+        v = 1e-318 * rng.normal(0.0, 1.0, 100)
+        v[50] = 1.0
+        out = lowess_values(np.arange(100.0), v, 0.05, 1)
+        assert out[50] == np.mean(v[48:53])
+
 
 def fuzzed_case(seed, n, grid, window, stretches):
     """A (t, values, fraction) case for the oracle property."""
@@ -311,14 +328,16 @@ class TestSharedWeights:
 
         check()
 
-    def test_zeroed_robust_window_on_the_band_goes_to_fit_rows(self, monkeypatch):
+    def test_zeroed_robust_window_on_the_band_falls_back_to_window_mean(self, monkeypatch):
         # window 10: rows 0-4 see only points 0-9, and the weight at 9 is 0;
-        # points 0-8 alternate far off, so one robust pass zeroes those rows
+        # points 0-8 alternate far off, so one robust pass zeroes those rows,
+        # which the first pass fitted from the shared band weights
         rng = np.random.default_rng(21)
         t = np.arange(40) * 15 / 3600
         v = rng.normal(0.0, 1.0, 40)
         v[:9] = [100.0, -100.0] * 4 + [100.0]
         ours, handed = fitted_by_rows(monkeypatch, t, v, 0.25, 1)
+        assert not {0, 1, 2, 3, 4} & handed[0]
         assert {0, 1, 2, 3, 4} <= handed[-1]
         assert np.all(ours[:5] == np.mean(v[:10]))
         assert np.max(np.abs(ours - row_by_row_passes(t, v, 0.25, 1)[-1])) <= 1e-12 * np.ptp(v)
@@ -333,27 +352,23 @@ class TestSharedWeights:
         assert ours[0] == v[0] and ours[9] == v[9]
         assert np.max(np.abs(ours - row_by_row_passes(t, v, 0.2, 0)[-1])) <= 1e-12
 
-    @pytest.mark.parametrize("change", ["window", "radius"])
-    def test_mirrored_rows_that_differ_go_to_fit_rows(self, monkeypatch, change):
+    def test_mirrored_rows_whose_windows_differ_go_to_fit_rows(self, monkeypatch):
         # the pairing is read off _windows' output, so a mirror row whose
-        # window or radius does not mirror row 0's must not share its weights
+        # window does not mirror row 0's must not share its weights
         windows = smoothing._windows
 
         def skewed(t, window):
             lo, hi, d_max = windows(t, window)
-            if change == "window":
-                lo[-1] -= 1
-            else:
-                d_max[-1] *= 1.0 + 1e-9
+            lo[-1] -= 1
             return lo, hi, d_max
 
         monkeypatch.setattr(smoothing, "_windows", skewed)
         rng = np.random.default_rng(23)
         t = np.arange(60) * 15 / 3600
         v = np.cumsum(rng.normal(0.0, 1.0, 60))
-        ours, handed = fitted_by_rows(monkeypatch, t, v, 0.3, 1)
-        assert all({0, 59} <= rows and 1 not in rows for rows in handed)
-        assert np.max(np.abs(ours - row_by_row_passes(t, v, 0.3, 1)[-1])) <= 1e-12 * np.ptp(v)
+        ours, handed = fitted_by_rows(monkeypatch, t, v, 0.3, 0)
+        assert {0, 59} <= handed[0] and 1 not in handed[0]
+        assert np.max(np.abs(ours - row_by_row_passes(t, v, 0.3, 0)[-1])) <= 1e-12 * np.ptp(v)
 
 
 class TestEquivariance:
