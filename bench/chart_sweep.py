@@ -26,11 +26,11 @@ SEED = 0
 POINTS = re.compile(r'points="([^"]*)"')
 
 
-def trace_panels(states):
-    """The panels the CLI's trace chart hands to render_chart."""
+def trace_panels(trace):
+    """The panels the CLI's trace chart hands to render_chart for a Trace's columns."""
     handed = []
     with mock.patch.object(cli, "render_chart", handed.append):
-        cli._trace_chart(states)
+        cli._trace_chart(trace.columns())
     return handed[0]
 
 

@@ -2,11 +2,11 @@
 
     PYTHONPATH=src python3 bench/io_sweep.py > sweep.json
 
-Times load_trace and trace_csv on simulator traces of n rows (the shipped
-aging mix under the random law, seed 0), and load_series on t,value series
-of n rows (uniform 15 s grid, a seeded random walk written with shortest
-round-trip floats), best of 3 calls, at n = 1k, 4k, 16k and 172 800 rows (one
-month of 15 s ticks). Inputs are written once per size to a temporary
+Times load_trace and trace_csv on simulator traces of n rows (the Trace that
+run returns for the shipped aging mix under the random law, seed 0), and
+load_series on t,value series of n rows (uniform 15 s grid, a seeded random
+walk written with shortest round-trip floats), best of 3 calls, at n = 1k,
+4k, 16k and 172 800 rows (one month of 15 s ticks). Inputs are written once per size to a temporary
 directory. agekit is imported from the path, so pointing PYTHONPATH at
 another checkout's src/ sweeps that checkout with the same inputs. Not part
 of the test suite: building the largest trace takes seconds.
@@ -42,15 +42,15 @@ def main():
     rows = []
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
-            states = run(cfg, load, ticks=n - 1, seed=SEED)
-            trace = os.path.join(work, f"trace_{n}.csv")
-            write_trace(trace, states)
+            trace = run(cfg, load, ticks=n - 1, seed=SEED)
+            trace_path = os.path.join(work, f"trace_{n}.csv")
+            write_trace(trace_path, trace)
             t = np.arange(n) * 15.0
             values = 100.0 + np.cumsum(rng.normal(0.0, 1.0, n))
             series = os.path.join(work, f"series_{n}.csv")
             save_series(MetricSeries("series", Orientation.HIGHER_IS_WORSE, t, values), series)
-            rows.append(row("trace_csv", n, best_time(lambda: trace_csv(states))))
-            rows.append(row("load_trace", n, best_time(lambda: load_trace(trace))))
+            rows.append(row("trace_csv", n, best_time(lambda: trace_csv(trace))))
+            rows.append(row("load_trace", n, best_time(lambda: load_trace(trace_path))))
             rows.append(
                 row(
                     "load_series",

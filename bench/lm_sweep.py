@@ -35,8 +35,8 @@ LAWS = {"power-law": (0.3, 0.0, 1.1), "growth-law": (0.2, 0.1, 1.2)}  # K, alpha
 
 def aging_curve(n):
     cfg = SimConfig()
-    states = run(cfg, parse_workload(WORKLOAD), ticks=n, seed=SEED)
-    curve = aging_degree([s.tick for s in states], [s.bandwidth_kbyte for s in states], cfg)
+    columns = run(cfg, parse_workload(WORKLOAD), ticks=n, seed=SEED).columns()
+    curve = aging_degree(columns["tick"], columns["bandwidth_kbyte"], cfg)
     return np.asarray(curve.t), np.asarray(curve.y)
 
 

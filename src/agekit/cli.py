@@ -10,11 +10,8 @@ them. Diagnostics go to stderr; outputs are written atomically.
 """
 
 import argparse
-import itertools
 import os
 import sys
-
-import numpy as np
 
 from .errors import DomainError, ParseError
 from .fitting import fit, write_fit_reports
@@ -136,14 +133,9 @@ def _build_policy(parser, args):
     return RejuvenationPolicy(variant, args.trigger, args.policy_p, args.refcount)
 
 
-def _trace_chart(states, marker=None):
-    # one pass over states; each row's tuple is freed as soon as it is read
-    rows = (
-        (s.tick, s.bandwidth_kbyte, s.working_set_mb, s.cache_mb, s.sfr_mb, s.disk_queue_len)
-        for s in states
-    )
-    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=float, count=6 * len(states))
-    ticks, bandwidth, working_set, cache, sfr, queue = flat.reshape(-1, 6).T
+def _trace_chart(columns, marker=None):
+    """The bandwidth, memory and queue panels of a trace given as {column: array}."""
+    ticks = columns["tick"]
     label = "rejuvenation" if marker is not None else ""
     return render_chart(
         [
@@ -151,7 +143,7 @@ def _trace_chart(states, marker=None):
                 "bandwidth per client",
                 "tick",
                 "kbyte",
-                [Series("bandwidth", ticks, bandwidth)],
+                [Series("bandwidth", ticks, columns["bandwidth_kbyte"])],
                 vline=marker,
                 vline_label=label,
             ),
@@ -160,9 +152,9 @@ def _trace_chart(states, marker=None):
                 "tick",
                 "MB",
                 [
-                    Series("working set", ticks, working_set),
-                    Series("cache", ticks, cache),
-                    Series("stale blocks", ticks, sfr, dashed=True),
+                    Series("working set", ticks, columns["working_set_mb"]),
+                    Series("cache", ticks, columns["cache_mb"]),
+                    Series("stale blocks", ticks, columns["sfr_mb"], dashed=True),
                 ],
                 vline=marker,
             ),
@@ -170,7 +162,7 @@ def _trace_chart(states, marker=None):
                 "disk queue",
                 "tick",
                 "length",
-                [Series("queue", ticks, queue)],
+                [Series("queue", ticks, columns["disk_queue_len"])],
                 vline=marker,
             ),
         ]
@@ -182,15 +174,15 @@ def cmd_simulate(parser, args):
     load = parse_workload(args.workload)
     policy = _build_policy(parser, args)
     if args.rejuvenation_tick is None:
-        states = run(cfg, load, policy, ticks=args.ticks, seed=args.seed)
+        trace = run(cfg, load, policy, ticks=args.ticks, seed=args.seed)
     else:
         before, after = apply_policy_experiment(
             cfg, load, policy, args.ticks, args.rejuvenation_tick, seed=args.seed
         )
-        states = before + after
-    write_trace(args.output, states)
+        trace = before + after
+    write_trace(args.output, trace)
     if args.svg is not None:
-        write_text_atomic(args.svg, _trace_chart(states, marker=args.rejuvenation_tick))
+        write_text_atomic(args.svg, _trace_chart(trace.columns(), marker=args.rejuvenation_tick))
     return 0
 
 

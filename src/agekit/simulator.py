@@ -35,15 +35,19 @@ policy-variant tests, the reclaimed fractions at the default and the policy's
 refcount threshold, the Poisson popularity with its prefix masses, and every
 coefficient as a local. The state rides from tick to tick in local floats;
 each produced state is checked by the same ``_check_state`` as
-``SimState.validate`` and built without calling the frozen ``__init__``. A
+``SimState.validate`` and kept as a tuple in field order; ``run`` returns those
+rows as a ``Trace``, which builds a ``SimState`` only when one is read. A
 hoisted constant is only ever the leading factor of a left-to-right product
 (the reclaim rate times a reclaimable fraction, the stale rate times churn),
 so every value is the one the laws give when evaluated term by term in order.
 """
 
 import functools
+import itertools
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 
@@ -53,17 +57,6 @@ from .errors import DomainError, ParseError, _is_integral, _is_real
 from .normalize import to_aging_curve
 from .timeseries import MetricSeries, Orientation, _read_columns, format_float, write_text_atomic
 from .timeseries import _as_readonly_float_array
-
-TRACE_HEADER = (
-    "tick",
-    "cache_mb",
-    "working_set_mb",
-    "disk_queue_len",
-    "block_kb",
-    "bandwidth_kbyte",
-    "sfr_mb",
-)
-
 
 class FileDist(IntEnum):
     """How clients choose files from the allowed set."""
@@ -219,6 +212,8 @@ class SimConfig:
                     raise DomainError(f"config {name} must be positive, got {value}")
             elif name != "refcount_survival" and not value >= 0:
                 raise DomainError(f"config {name} must be nonnegative, got {value}")
+            if not _is_real(value):
+                raise DomainError(f"config {name} must be finite, got {value!r}")
         if self.max_block_kb < self.base_block_kb:
             raise DomainError("max_block_kb must be at least base_block_kb")
         if self.bandwidth_fail_kbyte >= self.bandwidth_nominal_kbyte:
@@ -352,16 +347,56 @@ class SimState:
     bw_avg_kbyte: float
 
     def validate(self, cfg):
-        _check_state(
-            cfg,
-            self.tick,
-            self.cache_mb,
-            self.working_set_mb,
-            self.disk_queue_len,
-            self.block_kb,
-            self.bandwidth_kbyte,
-            self.sfr_mb,
-        )
+        _check_state(cfg, *_row(self)[:-1])  # every field but bw_avg_kbyte
+
+
+# a state as a row of its fields in declaration order; the trace CSV keeps
+# every column but the trigger's trailing average
+_row = operator.attrgetter(*(field.name for field in fields(SimState)))
+TRACE_HEADER = tuple(field.name for field in fields(SimState))[:-1]
+
+
+class Trace(Sequence):
+    """A run's states, kept as one tuple per tick in SimState field order.
+
+    Reading an element builds its SimState; a slice or a sum is a Trace. A
+    Trace equals a Trace or any sequence of the same states.
+    """
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(self._rows[index])
+        return SimState(*self._rows[index])
+
+    def __iter__(self):
+        return (SimState(*row) for row in self._rows)
+
+    def __add__(self, other):
+        return Trace(self._rows + _rows(other))
+
+    def __radd__(self, other):
+        return Trace(_rows(other) + self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self._rows == other._rows
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def columns(self):
+        """The TRACE_HEADER columns as float arrays, the mapping load_trace returns."""
+        flat = np.fromiter(itertools.chain.from_iterable(self._rows), dtype=float)
+        return dict(zip(TRACE_HEADER, flat.reshape(-1, len(fields(SimState))).T))
+
+
+def _rows(states):
+    """A Trace's rows, or the rows of a sequence of SimStates."""
+    return states._rows if isinstance(states, Trace) else [_row(s) for s in states]
 
 
 def _check_state(
@@ -429,7 +464,7 @@ def init_state(cfg):
 
 
 def validate_workload(load, cfg):
-    """Checks that need the config: catalog coverage and client capacity."""
+    """Checks that need the config; returns the requests the clients make per tick."""
     if load.file_object > cfg.catalog_files:
         raise DomainError(
             f"file_object ({load.file_object}) exceeds catalog_files ({cfg.catalog_files})"
@@ -439,6 +474,10 @@ def validate_workload(load, cfg):
             f"client_count ({load.client_count}) exceeds capacity_clients "
             f"({cfg.capacity_clients}); the server restarts at that point"
         )
+    requests = load.client_count * (cfg.tick_seconds * 1000.0) / max(load.sleep_time_ms, 1)
+    if not requests < 2.0**63:  # the most trials numpy's binomial draws take
+        raise DomainError(f"requests per tick must stay below 2**63, got {requests!r}")
+    return int(round(requests))
 
 
 def _poisson_pmf(file_object, mean_fraction):
@@ -496,9 +535,10 @@ def _reclaim_rates(threshold, cfg):
 def _advance(state, load, cfg, policy, ticks, rng):
     """The tick kernel: ``ticks`` steps from ``state`` under ``policy`` on ``rng``.
 
-    Returns ``state`` followed by the ``ticks`` new states. The caller has
-    checked the workload and ``state``; every state made here is checked.
+    Returns a Trace of ``state`` and the ``ticks`` new states. Checks
+    ``state``, then the workload, then every state it makes.
     """
+    state.validate(cfg)
     # --- per-run constants ------------------------------------------------
     variant = policy.variant
     policed = variant is not PolicyVariant.NONE
@@ -508,9 +548,7 @@ def _advance(state, load, cfg, policy, ticks, rng):
     block_reset = variant is PolicyVariant.DISK_BLOCK_RESET
     mem_reap = variant is PolicyVariant.MEM_REAP_ENLARGE
 
-    admitted_clients = min(load.client_count, cfg.capacity_clients)
-    tick_ms = cfg.tick_seconds * 1000.0
-    requests = int(round(admitted_clients * tick_ms / max(load.sleep_time_ms, 1)))
+    requests = validate_workload(load, cfg)
     # mean-value thinning keeps p=1.0 bit-identical to no policy at all
     thinned = int(round(requests * policy.admit_probability)) if thinning else requests
     activity = min(1.0, requests / cfg.activity_norm_requests)
@@ -557,8 +595,6 @@ def _advance(state, load, cfg, policy, ticks, rng):
     window = cfg.trigger_window_ticks
     binomial = rng.binomial
     check = _check_state
-    new = object.__new__
-    set_field = object.__setattr__
 
     # --- the state, carried as locals ---------------------------------------
     tick = state.tick
@@ -573,7 +609,7 @@ def _advance(state, load, cfg, policy, ticks, rng):
     used = working_set_mb / total
     pressure = memory_pressure(working_set_mb, cfg)
 
-    states = [state]
+    rows = [_row(state)]
     for _ in range(ticks):
         # aging_level() of the state this tick starts from
         active = policed and max(0.0, 1.0 - bw_avg / nominal) >= trigger
@@ -659,30 +695,17 @@ def _advance(state, load, cfg, policy, ticks, rng):
 
         tick += 1
         check(cfg, tick, cache, working, queue, block, bandwidth, sfr)
-        # what the frozen __init__ does, in field order, less its call overhead;
-        # a __dict__ update would give every state its own dict (+184 bytes)
-        new_state = new(SimState)
-        set_field(new_state, "tick", tick)
-        set_field(new_state, "cache_mb", cache)
-        set_field(new_state, "working_set_mb", working)
-        set_field(new_state, "disk_queue_len", queue)
-        set_field(new_state, "block_kb", block)
-        set_field(new_state, "bandwidth_kbyte", bandwidth)
-        set_field(new_state, "sfr_mb", sfr)
-        set_field(new_state, "bw_avg_kbyte", bw_avg)
-        states.append(new_state)
+        rows.append((tick, cache, working, queue, block, bandwidth, sfr, bw_avg))
         cache_mb = cache
         working_set_mb = working
         queue_len = queue
         block_kb = block
         sfr_mb = sfr
-    return states
+    return Trace(rows)
 
 
 def step(state, load, cfg, policy=NO_POLICY, rng=None):
     """Advance one 15-second tick; pure function of (state, load, cfg, policy, rng)."""
-    state.validate(cfg)
-    validate_workload(load, cfg)
     if rng is None:
         rng = np.random.default_rng(0)
     return _advance(state, load, cfg, policy, 1, rng)[1]
@@ -695,23 +718,20 @@ def _seeded_rng(seed):
 
 
 def run(cfg, load, policy=NO_POLICY, ticks=4000, seed=0):
-    """Simulate ticks steps from a fresh server; returns ticks+1 states.
+    """Simulate ticks steps from a fresh server; returns a Trace of ticks+1 states.
 
     The seed, a nonnegative integer, fixes the random stream.
     """
     if not _is_integral(ticks) or ticks < 0:
         raise DomainError(f"ticks must be nonnegative and integral, got {ticks!r}")
     rng = _seeded_rng(seed)
-    validate_workload(load, cfg)
-    start = init_state(cfg)
-    start.validate(cfg)
-    return _advance(start, load, cfg, policy, int(ticks), rng)
+    return _advance(init_state(cfg), load, cfg, policy, int(ticks), rng)
 
 
 def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0):
     """Run unpoliced until rejuvenation_tick, then with the policy; one RNG stream.
 
-    Returns (before, after): states 0..rejuvenation_tick and the rest.
+    Returns (before, after), two Traces: states 0..rejuvenation_tick and the rest.
     """
     if not (_is_integral(ticks) and _is_integral(rejuvenation_tick)):
         raise DomainError(
@@ -723,30 +743,18 @@ def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0)
         )
     ticks, rejuvenation_tick = int(ticks), int(rejuvenation_tick)
     rng = _seeded_rng(seed)
-    validate_workload(load, cfg)
-    start = init_state(cfg)
-    start.validate(cfg)
-    before = _advance(start, load, cfg, NO_POLICY, rejuvenation_tick, rng)
+    before = _advance(init_state(cfg), load, cfg, NO_POLICY, rejuvenation_tick, rng)
     after = _advance(before[-1], load, cfg, policy, ticks - rejuvenation_tick, rng)
     return before, after[1:]
 
 
 def trace_csv(states):
-    """Render states as CSV text with the pinned seven-column header."""
+    """Render a Trace, or a sequence of SimStates, as CSV text with the pinned header."""
     lines = [",".join(TRACE_HEADER)]
-    for s in states:
+    for tick, cache, working, queue, block, bandwidth, sfr, _ in _rows(states):
         lines.append(
-            ",".join(
-                [
-                    str(s.tick),
-                    format_float(s.cache_mb),
-                    format_float(s.working_set_mb),
-                    format_float(s.disk_queue_len),
-                    format_float(s.block_kb),
-                    format_float(s.bandwidth_kbyte),
-                    format_float(s.sfr_mb),
-                ]
-            )
+            f"{tick},{format_float(cache)},{format_float(working)},{format_float(queue)},"
+            f"{format_float(block)},{format_float(bandwidth)},{format_float(sfr)}"
         )
     return "\n".join(lines) + "\n"
 

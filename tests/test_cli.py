@@ -15,7 +15,7 @@ import pytest
 
 import agekit
 from agekit import fitting
-from agekit.cli import L2_WORKLOAD, default_config, main
+from agekit.cli import L2_WORKLOAD, _trace_chart, default_config, main
 from agekit.fitting import FIT_REPORT_HEADER, fit
 from agekit.model import FeedbackLoopModel, eval_model
 from agekit.normalize import to_aging_curve
@@ -24,10 +24,12 @@ from agekit.simulator import (
     RejuvenationPolicy,
     SimConfig,
     aging_degree,
+    apply_policy_experiment,
     load_trace,
     parse_workload,
     run,
     trace_csv,
+    write_trace,
 )
 from agekit.smoothing import lowess_values
 from agekit.timeseries import Orientation, load_series, rescale_time
@@ -372,6 +374,22 @@ class TestSimulate:
         # the policy armed: the trace differs from the unpoliced one
         assert out.read_text() != trace_csv(run(cfg, load, ticks=1000, seed=0))
 
+    @pytest.mark.parametrize("command", ["simulate", "rejuvenate"])
+    def test_chart_is_the_same_from_both_trace_shapes(self, tmp_path, command):
+        cfg, load = SimConfig(), parse_workload(L2_WORKLOAD)
+        if command == "simulate":
+            trace, marker = run(cfg, load, ticks=3000, seed=2), None
+        else:
+            marker = 1500
+            before, after = apply_policy_experiment(
+                cfg, load, RejuvenationPolicy.cache_hit(), 3000, marker, seed=2
+            )
+            trace = before + after
+        path = tmp_path / "trace.csv"
+        write_trace(path, trace)
+        from_rows = _trace_chart(trace.columns(), marker)
+        assert from_rows.encode() == _trace_chart(load_trace(path), marker).encode()
+
     def test_default_config_matches_builtin(self):
         assert default_config() == SimConfig()
 
@@ -498,6 +516,25 @@ class TestModuleEntrypoint:
         done = self.agekit("simulate", "--ticks", "5", "-o", str(out))
         assert done.returncode == 0, done.stderr
         assert len(load_trace(out)["tick"]) == 6
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "tick_seconds=1e400\n",
+            # 600 clients x 1.537e19 ms / 1000 ms is 2**63 requests per tick
+            "refcount_threshold=0\ntick_seconds=1.5372286728091294e+16\n",
+        ],
+    )
+    def test_overflowing_request_count_is_a_domain_error(self, tmp_path, config):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(config)
+        out = str(tmp_path / "t.csv")
+        done = self.agekit("simulate", "--ticks", "1", "--config", str(cfg), "-o", out)
+        assert done.returncode == 3
+        assert done.stderr.startswith("agekit: error: ")
+        assert len(done.stderr.splitlines()) == 1
+        assert "Traceback" not in done.stderr
+        assert not os.path.exists(out)
 
     def test_domain_error_exit_code(self, tmp_path):
         out = str(tmp_path / "t.csv")

@@ -19,6 +19,7 @@ from agekit.simulator import (
     RejuvenationPolicy,
     SimConfig,
     SimState,
+    Trace,
     WorkloadSpec,
     aging_degree,
     aging_level,
@@ -936,6 +937,80 @@ class TestPoissonPopularity:
             apply_policy_experiment(cfg, load, policy, ticks=2000, rejuvenation_tick=700, seed=5),
         )
         assert cached == uncached
+
+
+class TestTrace:
+    """``run`` keeps its states as rows; the Trace it returns reads as a sequence of states."""
+
+    def setup_method(self):
+        self.cfg = SimConfig()
+        self.load = parse_workload(AGING_LOAD)
+        self.trace = run(self.cfg, self.load, ticks=6, seed=3)
+        self.states = hand_loop(self.cfg, self.load, NO_POLICY, 6, 3, 0)
+
+    def test_len_and_indexing(self):
+        assert isinstance(self.trace, Trace)
+        assert len(self.trace) == 7
+        assert self.trace[0] == init_state(self.cfg)
+        assert self.trace[-1] == self.states[-1]
+        assert self.trace[-2].tick == 5
+        assert type(self.trace[-1]) is SimState
+        with pytest.raises(IndexError):
+            self.trace[7]
+
+    def test_slice_is_a_trace(self):
+        head = self.trace[:-1]
+        assert isinstance(head, Trace)
+        assert len(head) == 6 and head[-1].tick == 5
+        assert head == self.states[:-1]
+        assert isinstance(self.trace[2:4], Trace) and self.trace[2:4] == self.states[2:4]
+        assert len(self.trace[7:]) == 0
+
+    def test_iteration_equals_stepping_by_hand(self):
+        produced = list(self.trace)
+        assert all(type(state) is SimState for state in produced)
+        assert produced == self.states
+
+    def test_sum_with_a_list_in_both_directions(self):
+        for joined in (self.trace[:3] + self.states[3:], self.states[:3] + self.trace[3:]):
+            assert isinstance(joined, Trace)
+            assert joined == self.trace
+            assert trace_csv(joined) == trace_csv(self.trace)
+        assert self.trace[:3] + self.trace[3:] == self.trace
+
+    def test_equality_in_both_directions(self):
+        assert self.trace == self.states and self.states == self.trace
+        assert self.trace == tuple(self.states)
+        assert self.trace == run(self.cfg, self.load, ticks=6, seed=3)
+        assert not self.trace != self.states
+
+    def test_one_differing_field_breaks_equality(self):
+        changed = list(self.states)
+        changed[4] = dataclasses.replace(changed[4], bw_avg_kbyte=changed[4].bw_avg_kbyte + 1.0)
+        assert self.trace != changed and changed != self.trace
+        assert self.trace != Trace(simulator._rows(changed))
+        assert self.trace != self.states[:-1]
+
+    @pytest.mark.parametrize("other", [None, 7, 1.5, object(), {"tick": 0}])
+    def test_not_equal_to_a_non_sequence(self, other):
+        assert self.trace != other
+        assert not self.trace == other
+
+    def test_columns_match_the_states(self):
+        columns = self.trace.columns()
+        assert tuple(columns) == TRACE_HEADER
+        for name in TRACE_HEADER:
+            assert columns[name].dtype == np.float64
+            np.testing.assert_array_equal(
+                columns[name], [float(getattr(s, name)) for s in self.states]
+            )
+
+    def test_experiment_halves_are_traces(self):
+        before, after = apply_policy_experiment(
+            self.cfg, self.load, RejuvenationPolicy.cache_hit(), ticks=10, rejuvenation_tick=4
+        )
+        assert isinstance(before, Trace) and isinstance(after, Trace)
+        assert [s.tick for s in before + after] == list(range(11))
 
 
 class TestTraceIO:
