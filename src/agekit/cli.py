@@ -18,6 +18,7 @@ from .fitting import fit, write_fit_reports
 from .model import eval_model
 from .normalize import to_aging_curve
 from .simulator import (
+    DEFAULT_TICKS,
     NO_POLICY,
     PolicyVariant,
     RejuvenationPolicy,
@@ -30,7 +31,7 @@ from .simulator import (
     run,
     write_trace,
 )
-from .smoothing import lowess
+from .smoothing import DEFAULT_FRACTION, lowess
 from .svg import Panel, Series, render_chart
 from .timeseries import (
     Orientation,
@@ -222,10 +223,12 @@ def _add_simulation_flags(sub):
     sub.add_argument(
         "--trigger",
         type=float,
-        default=0.5,
-        help="aging degree that activates the policy (default: 0.5)",
+        default=RejuvenationPolicy.trigger_threshold,
+        help="aging degree that activates the policy (default: %(default)s)",
     )
-    sub.add_argument("--ticks", type=int, default=4000, help="tick count (default: 4000)")
+    sub.add_argument(
+        "--ticks", type=int, default=DEFAULT_TICKS, help="tick count (default: %(default)s)"
+    )
     sub.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     sub.add_argument("-o", "--output", required=True, help="trace CSV path")
     sub.add_argument("--svg", help="optional chart path (bandwidth/memory/queue)")
@@ -242,7 +245,10 @@ def build_parser():
     sub.add_argument("input", help="input CSV with header t,value")
     sub.add_argument("output", help="output CSV path")
     sub.add_argument(
-        "--fraction", type=float, default=0.3, help="neighbor fraction (default: 0.3)"
+        "--fraction",
+        type=float,
+        default=DEFAULT_FRACTION,
+        help="neighbor fraction (default: %(default)s)",
     )
     sub.add_argument(
         "--iterations", type=int, default=0, help="robustness passes (default: 0)"

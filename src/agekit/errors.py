@@ -30,6 +30,11 @@ def _is_real(value):
         return False
 
 
+def _shown(value):
+    """A rejected value as messages echo it: str for a number (np.float64(2) is 2.0), else repr."""
+    return str(value) if isinstance(value, numbers.Number) else repr(value)
+
+
 def _is_integral(value):
     """A finite real number with an integral value."""
     return _is_real(value) and int(value) == value

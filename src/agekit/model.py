@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _is_real
+from .errors import DomainError, _is_real, _shown
 from .timeseries import _as_float_array
 
-_K_FLOOR = 0.0  # K strictly positive; alpha, beta nonnegative
 
-
-def _require_finite(name, value):
+def _require(name, value, sign):
+    """A parameter must be finite and then, as sign says, "positive", "nonnegative" or "finite"."""
     if not _is_real(value):
-        raise DomainError(f"{name} must be finite, got {value}")
+        raise DomainError(f"{name} must be finite, got {_shown(value)}")
+    if (sign == "positive" and value <= 0) or (sign == "nonnegative" and value < 0):
+        raise DomainError(f"{name} must be {sign}, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,9 @@ class FeedbackLoopModel:
     beta: float
 
     def __post_init__(self):
-        for field_name in ("K", "alpha", "beta"):
-            _require_finite(field_name, getattr(self, field_name))
-        if self.K <= _K_FLOOR:
-            raise DomainError(f"K must be positive, got {self.K}")
-        if self.alpha < 0:
-            raise DomainError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.beta < 0:
-            raise DomainError(f"beta must be nonnegative, got {self.beta}")
+        _require("K", self.K, "positive")
+        _require("alpha", self.alpha, "nonnegative")
+        _require("beta", self.beta, "nonnegative")
 
     @classmethod
     def unchecked(cls, K, alpha, beta):
@@ -62,12 +58,8 @@ class PositiveLoop:
     a: float
 
     def __post_init__(self):
-        _require_finite("z0", self.z0)
-        _require_finite("a", self.a)
-        if self.z0 < 0:
-            raise DomainError(f"z0 must be nonnegative, got {self.z0}")
-        if self.a < 0:
-            raise DomainError(f"a must be nonnegative, got {self.a}")
+        _require("z0", self.z0, "nonnegative")
+        _require("a", self.a, "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -78,10 +70,8 @@ class NegativeLoop:
     v: float
 
     def __post_init__(self):
-        _require_finite("K", self.K)
-        _require_finite("v", self.v)
-        if self.v < 0:
-            raise DomainError(f"v must be nonnegative, got {self.v}")
+        _require("K", self.K, "finite")
+        _require("v", self.v, "nonnegative")
 
 
 def _check_times(t):

@@ -53,10 +53,10 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .errors import DomainError, ParseError, _is_integral, _is_real
+from .errors import DomainError, ParseError, _is_integral, _is_real, _shown
 from .normalize import to_aging_curve
 from .timeseries import MetricSeries, Orientation, _read_columns, format_float, write_text_atomic
-from .timeseries import _as_readonly_float_array
+from .timeseries import _as_readonly_float_array, _open_text
 
 class FileDist(IntEnum):
     """How clients choose files from the allowed set."""
@@ -99,11 +99,11 @@ class WorkloadSpec:
                 object.__setattr__(self, name, kind(value))
             except ValueError:
                 allowed = list(map(int, kind))
-                raise DomainError(f"{name} must be one of {allowed}, got {value!r}") from None
+                raise DomainError(f"{name} must be one of {allowed}, got {_shown(value)}") from None
         for name in ("client_count", "file_object", "file_max_object", "sleep_time_ms"):
             value = getattr(self, name)
             if not _is_integral(value) or value < 0:
-                raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+                raise DomainError(f"{name} must be a nonnegative integer, got {_shown(value)}")
             object.__setattr__(self, name, int(value))
         if self.file_object < 1:
             raise DomainError("file_object must be at least 1")
@@ -203,17 +203,17 @@ class SimConfig:
             name, value = field.name, getattr(self, field.name)
             if field.type is int:
                 if not _is_integral(value):
-                    raise DomainError(f"config {name} must be an integer, got {value!r}")
+                    raise DomainError(f"config {name} must be an integer, got {_shown(value)}")
                 object.__setattr__(self, name, int(value))
             elif not isinstance(value, numbers.Real):
-                raise DomainError(f"config {name} must be a number, got {value!r}")
+                raise DomainError(f"config {name} must be a number, got {_shown(value)}")
             if name in positive:
                 if not value > 0:
-                    raise DomainError(f"config {name} must be positive, got {value}")
+                    raise DomainError(f"config {name} must be positive, got {_shown(value)}")
             elif name != "refcount_survival" and not value >= 0:
-                raise DomainError(f"config {name} must be nonnegative, got {value}")
+                raise DomainError(f"config {name} must be nonnegative, got {_shown(value)}")
             if not _is_real(value):
-                raise DomainError(f"config {name} must be finite, got {value!r}")
+                raise DomainError(f"config {name} must be finite, got {_shown(value)}")
         if self.max_block_kb < self.base_block_kb:
             raise DomainError("max_block_kb must be at least base_block_kb")
         if self.bandwidth_fail_kbyte >= self.bandwidth_nominal_kbyte:
@@ -239,10 +239,8 @@ def load_sim_config(path):
     kinds = {f.name: f.type for f in fields(SimConfig)}
     overrides = {}
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
+        with _open_text(path) as handle:
             lines = handle.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     for line_num, raw in enumerate(lines, start=1):
@@ -281,7 +279,7 @@ class RejuvenationPolicy:
     """A rejuvenation method plus the aging-degree level that arms it."""
 
     variant: PolicyVariant = PolicyVariant.NONE
-    trigger_threshold: float = 0.5
+    trigger_threshold: float = 0.5  # the constructors below take it as their default too
     admit_probability: float | None = None
     refcount: int | None = None
 
@@ -289,7 +287,7 @@ class RejuvenationPolicy:
         if not isinstance(self.variant, PolicyVariant):
             raise DomainError(f"unknown policy variant: {self.variant!r}")
         if not (_is_real(self.trigger_threshold) and 0.0 < self.trigger_threshold <= 1.0):
-            raise DomainError(f"trigger threshold out of range (0, 1]: {self.trigger_threshold}")
+            raise DomainError(f"trigger threshold out of range (0, 1]: {_shown(self.trigger_threshold)}")
         if self.variant is PolicyVariant.PROBABILISTIC_ADMISSION:
             if not (_is_real(self.admit_probability) and 0.0 <= self.admit_probability <= 1.0):
                 raise DomainError("probabilistic admission needs admit_probability in [0, 1]")
@@ -307,25 +305,26 @@ class RejuvenationPolicy:
         return cls(PolicyVariant.NONE)
 
     @classmethod
-    def cache_hit(cls, trigger_threshold=0.5):
+    def cache_hit(cls, trigger_threshold=trigger_threshold):
         return cls(PolicyVariant.CACHE_HIT_ADMISSION, trigger_threshold)
 
     @classmethod
-    def probabilistic(cls, admit_probability, trigger_threshold=0.5):
+    def probabilistic(cls, admit_probability, trigger_threshold=trigger_threshold):
         return cls(
             PolicyVariant.PROBABILISTIC_ADMISSION, trigger_threshold, admit_probability=admit_probability
         )
 
     @classmethod
-    def disk_block_reset(cls, trigger_threshold=0.5):
+    def disk_block_reset(cls, trigger_threshold=trigger_threshold):
         return cls(PolicyVariant.DISK_BLOCK_RESET, trigger_threshold)
 
     @classmethod
-    def mem_reap_enlarge(cls, refcount, trigger_threshold=0.5):
+    def mem_reap_enlarge(cls, refcount, trigger_threshold=trigger_threshold):
         return cls(PolicyVariant.MEM_REAP_ENLARGE, trigger_threshold, refcount=refcount)
 
 
 NO_POLICY = RejuvenationPolicy.none()
+DEFAULT_TICKS = 4000  # run's tick count, and the CLI's --ticks default
 
 
 @dataclass(frozen=True)
@@ -559,7 +558,7 @@ def _advance(state, load, cfg, policy, ticks, rng):
         file_max = 1
     else:
         file_object = load.file_object
-        file_max = min(load.file_max_object, file_object)
+        file_max = load.file_max_object
     churn = (file_object - file_max) / file_object
     catalog = float(file_object)
     poisson = load.file_dist is FileDist.POISSON
@@ -713,17 +712,17 @@ def step(state, load, cfg, policy=NO_POLICY, rng=None):
 
 def _seeded_rng(seed):
     if not (_is_integral(seed) and seed >= 0):
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise DomainError(f"seed must be a nonnegative integer, got {_shown(seed)}")
     return np.random.default_rng(int(seed))
 
 
-def run(cfg, load, policy=NO_POLICY, ticks=4000, seed=0):
+def run(cfg, load, policy=NO_POLICY, ticks=DEFAULT_TICKS, seed=0):
     """Simulate ticks steps from a fresh server; returns a Trace of ticks+1 states.
 
     The seed, a nonnegative integer, fixes the random stream.
     """
     if not _is_integral(ticks) or ticks < 0:
-        raise DomainError(f"ticks must be nonnegative and integral, got {ticks!r}")
+        raise DomainError(f"ticks must be nonnegative and integral, got {_shown(ticks)}")
     rng = _seeded_rng(seed)
     return _advance(init_state(cfg), load, cfg, policy, int(ticks), rng)
 
@@ -735,13 +734,14 @@ def apply_policy_experiment(cfg, load, policy, ticks, rejuvenation_tick, seed=0)
     """
     if not (_is_integral(ticks) and _is_integral(rejuvenation_tick)):
         raise DomainError(
-            f"ticks and rejuvenation_tick must be integral, got {ticks!r} and {rejuvenation_tick!r}"
+            f"ticks and rejuvenation_tick must be integral, "
+            f"got {_shown(ticks)} and {_shown(rejuvenation_tick)}"
         )
+    ticks, rejuvenation_tick = int(ticks), int(rejuvenation_tick)
     if not (0 < rejuvenation_tick < ticks):
         raise DomainError(
             f"rejuvenation_tick must fall inside (0, {ticks}), got {rejuvenation_tick}"
         )
-    ticks, rejuvenation_tick = int(ticks), int(rejuvenation_tick)
     rng = _seeded_rng(seed)
     before = _advance(init_state(cfg), load, cfg, NO_POLICY, rejuvenation_tick, rng)
     after = _advance(before[-1], load, cfg, policy, ticks - rejuvenation_tick, rng)

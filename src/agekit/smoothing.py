@@ -31,11 +31,12 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _is_integral, _is_real
+from .errors import DomainError, _is_integral, _is_real, _shown
 from .timeseries import MetricSeries, _as_readonly_float_array
 
 MIN_WINDOW = 2  # a lone point fits no line
 MIN_SAMPLES = 3
+DEFAULT_FRACTION = 0.3  # share of the samples in each window, and the CLI's --fraction default
 # weight-matrix elements per block: bounds scratch memory and keeps each
 # block's temporaries cache-resident
 BLOCK_ELEMENTS = 1 << 15
@@ -181,20 +182,18 @@ def _line_at(s0, s1, s2, sy, sxy, x0):
     return value, ok
 
 
-def _mirrored_rows(rows, lo, hi):
+def _mirrored_rows(pending, lo, hi):
     """Left rows i <= n-1-i that share tricube weights with their mirror n-1-i.
 
     Only _windows' own output decides it: row i's window starts at 0 and the
-    mirror's is [n - hi[i], n - lo[i]). Either row of a returned pair is one
-    of rows.
+    mirror's is [n - hi[i], n - lo[i]). Either row of a returned pair is
+    pending, a boolean mask over the rows.
     """
     n = len(lo)
-    wanted = np.zeros(n, dtype=bool)
-    wanted[rows] = True
     left = np.arange((n + 1) // 2)
     right = n - 1 - left
     mirrored = (
-        (wanted[left] | wanted[right])
+        (pending[left] | pending[right])
         & (lo[left] == 0)
         & (lo[right] == n - hi[left])
         & (hi[right] == n)
@@ -257,7 +256,7 @@ def _fit_shared_rows(values, fit, lo, hi, half, smoothed):
         means = np.convolve(values, kernel, "valid") / kernel.sum()
         smoothed[interior] = means[interior - half]
         pending[interior] = False
-    left = _mirrored_rows(np.flatnonzero(pending), lo, hi)
+    left = _mirrored_rows(pending, lo, hi)
     if len(left):
         for band, (value, ok) in zip((left, n - 1 - left), _band_lines(values, left, lo, hi)):
             take = ok & pending[band]
@@ -269,16 +268,16 @@ def _fit_shared_rows(values, fit, lo, hi, half, smoothed):
 # a span of t or values too large for float64 sums leave the fit non-finite;
 # that is reported once, as a DomainError, in place of numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
-def lowess_values(t, values, fraction=0.3, robust_iterations=0):
+def lowess_values(t, values, fraction=DEFAULT_FRACTION, robust_iterations=0):
     """Core array-level lowess. Returns smoothed values on the same grid.
 
     t may come in any order; the result follows the caller's order.
     """
     if not (_is_real(fraction) and 0.0 < fraction <= 1.0):
-        raise DomainError(f"fraction out of range (0, 1]: {fraction}")
+        raise DomainError(f"fraction out of range (0, 1]: {_shown(fraction)}")
     if not _is_integral(robust_iterations) or robust_iterations < 0:
         raise DomainError(
-            f"robust_iterations must be a nonnegative integer, got {robust_iterations}"
+            f"robust_iterations must be a nonnegative integer, got {_shown(robust_iterations)}"
         )
     t = _as_readonly_float_array(t, "t", "lowess needs finite t")
     values = _as_readonly_float_array(values, "values", "lowess needs finite values")
@@ -327,7 +326,7 @@ def lowess_values(t, values, fraction=0.3, robust_iterations=0):
     return out
 
 
-def lowess(series, fraction=0.3, robust_iterations=0):
+def lowess(series, fraction=DEFAULT_FRACTION, robust_iterations=0):
     """Smooth a MetricSeries; the output keeps grid, name, orientation."""
     smoothed = lowess_values(series.t, series.values, fraction, robust_iterations)
     return MetricSeries(

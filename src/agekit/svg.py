@@ -240,6 +240,8 @@ def _render_panel(panel, top, width, height, parts):
             )
 
     columns = max(int(plot_w), 1)
+    legend_x = plot_right - 150.0
+    legend = []  # drawn after every polyline, so it sits on top
     for index, series in enumerate(panel.series):
         color = PALETTE[index % len(PALETTE)]
         dash = ' stroke-dasharray="6,3"' if series.dashed else ""
@@ -254,21 +256,16 @@ def _render_panel(panel, top, width, height, parts):
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"{dash}/>'
         )
-
-    legend_x = plot_right - 150.0
-    legend_y = plot_top + 8.0
-    for index, series in enumerate(panel.series):
-        color = PALETTE[index % len(PALETTE)]
-        y = legend_y + index * 14.0
-        dash = ' stroke-dasharray="6,3"' if series.dashed else ""
-        parts.append(
+        y = plot_top + 8.0 + index * 14.0
+        legend.append(
             f'<line x1="{legend_x:.1f}" y1="{y:.1f}" x2="{legend_x + 22:.1f}" '
             f'y2="{y:.1f}" stroke="{color}" stroke-width="1.5"{dash}/>'
         )
-        parts.append(
+        legend.append(
             f'<text x="{legend_x + 27:.1f}" y="{y + 3.5:.1f}" {FONT}>'
             f"{escape(series.label)}</text>"
         )
+    parts.extend(legend)
 
 
 def render_chart(panels, width=760, panel_height=230):

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ParseError, _is_real
+from .errors import DomainError, ParseError, _is_real, _shown
 
 CSV_HEADER = ("t", "value")
 
@@ -88,7 +88,7 @@ def rescale_time(series, factor):
     The usual call converts seconds to hours with factor 1/3600.
     """
     if not (_is_real(factor) and factor > 0):
-        raise DomainError(f"time rescale factor must be positive and finite, got {factor}")
+        raise DomainError(f"time rescale factor must be positive and finite, got {_shown(factor)}")
     return MetricSeries(
         name=series.name,
         orientation=series.orientation,
@@ -119,6 +119,14 @@ def _parse_row(path, row, line_num, header):
     return values
 
 
+def _open_text(path):
+    """Open ``path`` as UTF-8 (a spreadsheet's BOM dropped), newline=""; OSError -> ParseError."""
+    try:
+        return open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def _read_columns(path, header, header_label="header"):
     """Read a numeric CSV whose first non-blank row is exactly ``header``.
 
@@ -126,13 +134,8 @@ def _read_columns(path, header, header_label="header"):
     Blank rows are skipped; any other malformed row fails with its physical
     row number and the name of the offending field.
     """
-    try:
-        # utf-8-sig so a BOM from spreadsheet exports does not corrupt the header
-        handle = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
     rows = []
-    with handle:
+    with _open_text(path) as handle:
         reader = csv.reader(handle)
         try:
             for row in reader:

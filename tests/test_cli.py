@@ -88,6 +88,13 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "smooth" in capsys.readouterr().out
 
+    def test_help_shows_the_library_defaults(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        assert main(["smooth", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+        for shown in ("(default: 0.5)", "(default: 4000)", "(default: 0.3)"):
+            assert shown in text
+
     def test_malformed_workload_tuple(self, tmp_path, capsys):
         code = main(["simulate", "--workload", "1,2,3", "-o", str(tmp_path / "t.csv")])
         assert code == 2

@@ -3,9 +3,11 @@
 The scalar rules are ``errors._is_real`` and ``errors._is_integral``; the
 vector rule is ``timeseries._as_readonly_float_array``. Each probe below is a
 non-numeric, non-finite or out-of-range input to one library entry point.
+A message echoes the rejected value through ``errors._shown``.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +15,17 @@ import pytest
 from agekit import svg
 from agekit.errors import DomainError, _is_integral, _is_real
 from agekit.fitting import rmse
-from agekit.model import FeedbackLoopModel, eval_model
+from agekit.model import FeedbackLoopModel, NegativeLoop, PositiveLoop, eval_model
 from agekit.normalize import AgingCurve, normalize_only
-from agekit.simulator import RejuvenationPolicy, SimConfig, parse_workload, run
+from agekit.simulator import (
+    NO_POLICY,
+    RejuvenationPolicy,
+    SimConfig,
+    WorkloadSpec,
+    apply_policy_experiment,
+    parse_workload,
+    run,
+)
 from agekit.smoothing import lowess_values
 from agekit.timeseries import MetricSeries, Orientation, _as_readonly_float_array, rescale_time
 
@@ -24,6 +34,7 @@ V = np.sin(T)
 UP = Orientation.HIGHER_IS_WORSE
 SERIES = MetricSeries("s", UP, T, V)
 MODEL = FeedbackLoopModel(1.0, 0.0, 0.0)
+LOAD = parse_workload("600,0,100,20,1000,0")
 
 PROBES = {
     "lowess-nan-iterations": lambda: lowess_values(T, V, 0.3, math.nan),
@@ -51,6 +62,48 @@ PROBES = {
 def test_bad_number_raises_domain_error(probe):
     with pytest.raises(DomainError):
         probe()
+
+
+# every message that echoes a caller's scalar, each site with a string (shown
+# quoted) and a numpy scalar (shown as a plain number, not np.float64(...))
+ECHOES = {
+    "lowess-fraction": (lambda v: lowess_values(T, V, v), "0.3", np.float64(2.0), "1]: {}"),
+    "lowess-iterations": (lambda v: lowess_values(T, V, 0.3, v), "1", np.int64(-1), "got {}"),
+    "model-k-finite": (lambda v: FeedbackLoopModel(v, 0, 0), "1", np.float64(np.nan), "got {}"),
+    "model-k-positive": (lambda v: FeedbackLoopModel(v, 0, 0), "1", np.float64(-2.0), "got {}"),
+    "model-alpha": (lambda v: FeedbackLoopModel(1, v, 0), "0", np.float64(-0.5), "got {}"),
+    "positive-loop-z0": (lambda v: PositiveLoop(v, 0), "0", np.int64(-1), "got {}"),
+    "negative-loop-v": (lambda v: NegativeLoop(1, v), "0", np.float64(-1.0), "got {}"),
+    "rescale-factor": (lambda v: rescale_time(SERIES, v), "2", np.float64(-2.0), "got {}"),
+    "policy-trigger": (RejuvenationPolicy.cache_hit, "0.5", np.float64(2.0), "1]: {}"),
+    "run-ticks": (lambda v: run(SimConfig(), LOAD, ticks=v), "3", np.int64(-1), "got {}"),
+    "run-seed": (lambda v: run(SimConfig(), LOAD, ticks=3, seed=v), "1", np.int64(-1), "got {}"),
+    "experiment-ticks": (
+        lambda v: apply_policy_experiment(SimConfig(), LOAD, NO_POLICY, v, 5),
+        "10",
+        np.float64(2.5),
+        "got {} and 5",
+    ),
+    "experiment-rejuvenation-tick": (
+        lambda v: apply_policy_experiment(SimConfig(), LOAD, NO_POLICY, 10, v),
+        "5",
+        np.float64(2.5),
+        "got 10 and {}",
+    ),
+    "workload-enum": (lambda v: WorkloadSpec(600, v, 100, 20, 1000, 0), "0", np.int64(7), "got {}"),
+    "workload-count": (lambda v: WorkloadSpec(v, 0, 100, 20, 1000, 0), "1", np.int64(-1), "got {}"),
+    "config-integer": (lambda v: SimConfig(catalog_files=v), "100", np.float64(2.5), "got {}"),
+    "config-positive": (lambda v: SimConfig(tick_seconds=v), "15", np.float64(-1.0), "got {}"),
+    "config-nonnegative": (lambda v: SimConfig(heap_decay_rate=v), "0", np.int64(-1), "got {}"),
+    "config-finite": (lambda v: SimConfig(heap_decay_rate=v), "0", np.float64(np.inf), "got {}"),
+}
+
+
+@pytest.mark.parametrize("call, text, number, fragment", ECHOES.values(), ids=ECHOES.keys())
+def test_a_rejected_value_is_echoed_quoted_or_as_a_plain_number(call, text, number, fragment):
+    for value, shown in ((text, repr(text)), (number, str(number))):
+        with pytest.raises(DomainError, match=re.escape(fragment.format(shown))):
+            call(value)
 
 
 @pytest.mark.parametrize("value", [0, -3, 2.5, np.float64(1e300), np.int64(7)])

@@ -49,6 +49,13 @@ class TestParameterRecords:
         with pytest.raises(DomainError, match="finite"):
             FeedbackLoopModel(K=float("nan"), alpha=0.0, beta=0.0)
 
+    def test_each_parameter_is_checked_whole_in_field_order(self):
+        # K's sign comes before alpha's finiteness, and z0's before a's
+        with pytest.raises(DomainError, match="K must be positive, got -1.0"):
+            FeedbackLoopModel(-1.0, float("nan"), 0.0)
+        with pytest.raises(DomainError, match="z0 must be nonnegative, got -1.0"):
+            PositiveLoop(-1.0, float("nan"))
+
     def test_unchecked_allows_negative_parameters(self):
         m = FeedbackLoopModel.unchecked(1.0, -0.5, -1.0)
         assert m.alpha == -0.5

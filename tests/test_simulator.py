@@ -237,6 +237,15 @@ class TestLoadSimConfig:
         with pytest.raises(ParseError, match="cannot read"):
             load_sim_config(tmp_path / "absent.cfg")
 
+    def test_crlf_and_bom_accepted(self, tmp_path):
+        # the same file open as the CSV readers: a BOM is dropped, CRLF is a line end
+        path = tmp_path / "sim.cfg"
+        path.write_bytes(b"\xef\xbb\xbfqueue_gain=0.5  # half\r\n\r\ncatalog_files=80\r\n")
+        assert load_sim_config(path) == SimConfig(queue_gain=0.5, catalog_files=80)
+        path.write_bytes(b"queue_gain=0.5\r\nwarp=1\r\n")
+        with pytest.raises(ParseError, match="line 2: unknown config key 'warp'"):
+            load_sim_config(path)
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_bytes(b"catalog_files=\xb5\n")
