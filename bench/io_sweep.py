@@ -6,14 +6,20 @@ Times load_trace and trace_csv on simulator traces of n rows (the Trace that
 run returns for the shipped aging mix under the random law, seed 0), and
 load_series on t,value series of n rows (uniform 15 s grid, a seeded random
 walk written with shortest round-trip floats), best of 3 calls, at n = 1k,
-4k, 16k and 172 800 rows (one month of 15 s ticks). Inputs are written once per size to a temporary
-directory. agekit is imported from the path, so pointing PYTHONPATH at
-another checkout's src/ sweeps that checkout with the same inputs. Not part
-of the test suite: building the largest trace takes seconds.
+4k, 16k and 172 800 rows (one month of 15 s ticks). load_series_fallback
+reads the same series with its last value quoted, a cell numpy's parser
+rejects, so it costs numpy's pass plus the csv loop's. Each load row also
+carries the tracemalloc peak of one more call, in MB. Inputs are written once
+per size to a temporary directory. agekit is imported from the path, so
+pointing PYTHONPATH at another checkout's src/ sweeps that checkout with the
+same inputs. Not part of the test suite: building the largest trace takes
+seconds.
 """
 
 import os
 import tempfile
+import tracemalloc
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +41,28 @@ def row(layer, n, seconds):
     }
 
 
+def load_row(layer, n, call):
+    """A timed row for a reader, with the tracemalloc peak of one more call."""
+    timed = row(layer, n, best_time(call))
+    tracemalloc.start()
+    try:
+        call()
+        timed["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    finally:
+        tracemalloc.stop()
+    return timed
+
+
+def quote_last_value(path, quoted_path):
+    """Copy a t,value file with its last value quoted."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    t, value = lines[-1].split(",")
+    lines[-1] = f'{t},"{value}"'
+    with open(quoted_path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def main():
     cfg = SimConfig()
     load = parse_workload(WORKLOAD)
@@ -50,14 +78,12 @@ def main():
             series = os.path.join(work, f"series_{n}.csv")
             save_series(MetricSeries("series", Orientation.HIGHER_IS_WORSE, t, values), series)
             rows.append(row("trace_csv", n, best_time(lambda: trace_csv(trace))))
-            rows.append(row("load_trace", n, best_time(lambda: load_trace(trace_path))))
-            rows.append(
-                row(
-                    "load_series",
-                    n,
-                    best_time(lambda: load_series(series, "series", Orientation.HIGHER_IS_WORSE)),
-                )
-            )
+            quoted = os.path.join(work, f"series_{n}_quoted.csv")
+            quote_last_value(series, quoted)
+            rows.append(load_row("load_trace", n, lambda: load_trace(trace_path)))
+            for layer, path in (("load_series", series), ("load_series_fallback", quoted)):
+                read = partial(load_series, path, "series", Orientation.HIGHER_IS_WORSE)
+                rows.append(load_row(layer, n, read))
     report(rows, seed=SEED)
 
 

@@ -346,7 +346,11 @@ class SimState:
     bw_avg_kbyte: float
 
     def validate(self, cfg):
-        _check_state(cfg, *_row(self)[:-1])  # every field but bw_avg_kbyte
+        for field, value in zip(fields(self), _row(self)):
+            kind = field.type.__name__
+            if not (_is_integral if kind == "int" else _is_real)(value):
+                raise DomainError(f"{field.name} must be a finite {kind}, got {_shown(value)}")
+        _check_state(cfg, *_row(self)[:-1])  # the invariants; bw_avg_kbyte has none
 
 
 # a state as a row of its fields in declaration order; the trace CSV keeps

@@ -3,13 +3,18 @@
 A series is the package's unit of currency: every downstream stage (smoothing,
 normalization, fitting) consumes a MetricSeries and leaves the time grid alone.
 Files are two-column CSV with the exact header ``t,value``, UTF-8, LF or CRLF.
-The numeric CSV reader here also reads simulator traces.
+The numeric CSV reader here also reads simulator traces. numpy's parser reads
+a file first, from the open handle; the checking ``csv`` loop, the only source
+of messages, re-reads any file it cannot: a padded or quoted header or cell,
+``1_000``, a non-ASCII digit, a whitespace-only, short or non-finite row.
 """
 
+import contextlib
 import csv
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -127,42 +132,43 @@ def _open_text(path):
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _numpy_table(handle, header):
+    """numpy's (rows, columns) parse of a file headed by ``header``; else None, rewound for csv."""
+    # on a ValueError (a cell numpy rejects, a ragged row, a bad byte) the csv loop reads it
+    with contextlib.suppress(ValueError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header only: csv says "no data rows"
+        line = next((line for line in handle if line.replace(",", "").strip()), "")
+        if tuple(cell.strip() for cell in line.split(",")) == header:
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2, dtype=float)
+            if table.shape[1] == len(header) and len(table) and np.isfinite(table).all():
+                return table
+    handle.seek(0)
+
+
 def _read_columns(path, header, header_label="header"):
     """Read a numeric CSV whose first non-blank row is exactly ``header``.
 
-    Returns one float array per column. UTF-8 (BOM allowed), LF or CRLF.
+    Returns one float array per column. UTF-8 (BOM allowed), LF, CRLF or CR.
     Blank rows are skipped; any other malformed row fails with its physical
-    row number and the name of the offending field.
+    row number and the name of the offending field. numpy's parser reads a
+    seekable file first; whatever it rejects, the csv loop re-reads.
     """
-    rows = []
     with _open_text(path) as handle:
+        if handle.seekable() and (table := _numpy_table(handle, header)) is not None:
+            return tuple(table.T.copy())
         reader = csv.reader(handle)
         try:
-            for row in reader:
-                if all(not cell.strip() for cell in row):
-                    continue
-                got = tuple(cell.strip() for cell in row)
-                if got != header:
-                    raise ParseError(
-                        f"{path}: row {reader.line_num}: expected {header_label} "
-                        f"'{','.join(header)}', got '{','.join(got)}'"
-                    )
-                break
-            else:
+            row = next((row for row in reader if any(cell.strip() for cell in row)), None)
+            if row is None:
                 raise ParseError(f"{path}: file is empty")
-            for row in reader:
-                # Fast path for a well-formed row; a NaN or infinity makes the
-                # sum non-finite. Anything else takes the checking path, which
-                # also accepts the rare finite row whose sum overflows.
-                try:
-                    values = [float(cell) for cell in row]
-                except ValueError:
-                    values = None
-                if values is None or len(values) != len(header) or not math.isfinite(sum(values)):
-                    values = _parse_row(path, row, reader.line_num, header)
-                    if values is None:
-                        continue
-                rows.append(values)
+            got = tuple(cell.strip() for cell in row)
+            if got != header:
+                raise ParseError(
+                    f"{path}: row {reader.line_num}: expected {header_label} "
+                    f"'{','.join(header)}', got '{','.join(got)}'"
+                )
+            parsed = (_parse_row(path, row, reader.line_num, header) for row in reader)
+            rows = [values for values in parsed if values is not None]  # None: a blank row
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from None
     if not rows:

@@ -342,6 +342,24 @@ class TestStateAndHelpers:
             step(state, parse_workload(AGING_LOAD), cfg)
         assert str(from_step.value) == str(from_validate.value)
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"tick": "0"}, "tick must be a finite int, got '0'"),
+            ({"cache_mb": "300"}, "cache_mb must be a finite float, got '300'"),
+            ({"bw_avg_kbyte": "80"}, "bw_avg_kbyte must be a finite float, got '80'"),
+        ],
+    )
+    def test_non_numeric_fields_are_domain_errors(self, patch, message):
+        cfg = SimConfig()
+        state = dataclasses.replace(init_state(cfg), **patch)
+        with pytest.raises(DomainError) as from_validate:
+            state.validate(cfg)
+        assert str(from_validate.value) == message
+        with pytest.raises(DomainError) as from_step:
+            step(state, parse_workload(AGING_LOAD), cfg)
+        assert str(from_step.value) == message
+
     def test_workload_capacity_checks(self):
         cfg = SimConfig()
         with pytest.raises(DomainError, match=r"file_object \(150\) exceeds catalog_files \(100\)"):

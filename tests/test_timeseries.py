@@ -3,19 +3,26 @@
 import math
 import os
 import stat
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from agekit import timeseries
 from agekit.errors import DomainError, ParseError
 from agekit.timeseries import (
+    CSV_HEADER,
     MetricSeries,
     Orientation,
+    _read_columns,
     load_series,
     rescale_time,
     save_series,
     write_text_atomic,
 )
+
+from reference_reader import read_columns
 
 
 def make_series(t, values, orientation=Orientation.HIGHER_IS_WORSE):
@@ -180,6 +187,82 @@ class TestLoadSeries:
         path.write_bytes(b"\xef\xbb\xbft,value\r\n0,1\r\n1,2\r\n")
         s = load_series(str(path), "s", Orientation.HIGHER_IS_WORSE)
         assert list(s.values) == [1.0, 2.0]
+
+
+def spy_on_loadtxt(monkeypatch):
+    """Record what each np.loadtxt call returned or raised."""
+    calls = []
+    real = np.loadtxt
+
+    def spy(*args, **kwargs):
+        try:
+            table = real(*args, **kwargs)
+        except Exception as exc:
+            calls.append(exc)
+            raise
+        calls.append(table)
+        return table
+
+    monkeypatch.setattr(timeseries.np, "loadtxt", spy)
+    return calls
+
+
+class TestNumpyFirstReader:
+    """numpy's parser reads a file first; the csv loop re-reads what it cannot."""
+
+    def test_header_only_file_says_no_data_rows_without_a_warning(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"t,value\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows"):
+                _read_columns(str(path), CSV_HEADER)
+
+    def test_bad_byte_deep_in_a_large_file_keeps_the_reference_message(self, tmp_path, monkeypatch):
+        lines = [b"t,value"] + [f"{i},{i * 0.5!r}".encode() for i in range(60_000)]
+        lines[50_000] = b"49999.5,\xb5"
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        calls = spy_on_loadtxt(monkeypatch)
+        with pytest.raises(ParseError) as raised:
+            _read_columns(str(path), CSV_HEADER)
+        # the decode failed inside numpy's parse, and the csv loop wrote the message
+        assert len(calls) == 1 and isinstance(calls[0], UnicodeDecodeError)
+        with pytest.raises(ParseError) as reference:
+            read_columns(str(path), CSV_HEADER)
+        assert str(raised.value) == str(reference.value)
+        assert "can't decode byte 0xb5" in str(raised.value)
+
+    def test_a_clean_file_takes_numpy_and_a_quoted_cell_the_csv_loop(self, tmp_path, monkeypatch):
+        clean = tmp_path / "clean.csv"
+        clean.write_bytes(b"\xef\xbb\xbft,value\r\n0,1.5\r\n15,2.25\r\n")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(clean.read_bytes().replace(b"15,2.25", b'15,"2.25"'))
+        calls = spy_on_loadtxt(monkeypatch)
+        fast = _read_columns(str(clean), CSV_HEADER)
+        fallback = _read_columns(str(quoted), CSV_HEADER)
+        assert isinstance(calls[0], np.ndarray) and isinstance(calls[1], ValueError)
+        for a, b in zip(fast, fallback):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_a_pipe_is_read_once_by_the_csv_loop(self, tmp_path):
+        path = str(tmp_path / "pipe.csv")
+        os.mkfifo(path)
+
+        def feed():  # a quoted cell: numpy could not have read it
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write('t,value\n0,1\n15,"2"\n')
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            series = load_series(path, "s", Orientation.HIGHER_IS_WORSE)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert series.t.tolist() == [0.0, 15.0]
+        assert series.values.tolist() == [1.0, 2.0]
 
 
 class TestSaveSeries:
