@@ -6,7 +6,11 @@ Times lowess_values at the default fraction 0.3, best of 3 calls, at
 n = 1k, 4k, 16k and 64k on two grids: the simulator's uniform hour axis
 (tick * 15 / 3600) and an irregular axis with 20-100 s gaps. Three more rows
 time 4k, 16k and 64k on the uniform grid with 2 robustness passes, which
-run the block fit on every row. agekit is imported from the path, so
+run the block fit on every row. Two small rows follow: 500 irregular
+samples, the size of a perfbench fit-irregular series, and a "gap" grid of
+100 samples, 50 on [0, 1] and 50 on [1000, 1000.001]. Its one block spans
+the gap, so every row's moments are ill posed and each row is refitted on
+its own. agekit is imported from the path, so
 pointing PYTHONPATH at another checkout's src/ sweeps that checkout with the
 same inputs. Not part of the test suite: the largest sizes
 take minutes on code that is quadratic in n.
@@ -24,6 +28,10 @@ SEED = 0
 def grid(kind, n):
     if kind == "uniform":
         return np.arange(n) * 15 / 3600
+    if kind == "gap":
+        half = n // 2
+        far = np.linspace(1000.0, 1000.001, n - half)
+        return np.concatenate([np.linspace(0.0, 1.0, half), far])
     rng = np.random.default_rng(SEED)
     return np.cumsum(rng.uniform(20.0, 100.0, n)) / 3600
 
@@ -31,6 +39,7 @@ def grid(kind, n):
 def main():
     cases = [(kind, n, 0) for kind in ("uniform", "irregular") for n in SIZES]
     cases += [("uniform", n, 2) for n in SIZES[1:]]
+    cases += [("irregular", 500, 0), ("gap", 100, 0)]
     rows = []
     for kind, n, robust_iterations in cases:
         t = grid(kind, n)

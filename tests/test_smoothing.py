@@ -229,11 +229,11 @@ class TestOracleEquivalence:
 
 
 def row_by_row_passes(t, values, fraction, robust_iterations):
-    """The smoothed values after each pass, every fitted row by _windows and _fit_rows.
+    """The smoothed values after each pass, every fitted row by _windows and _fit_row.
 
     The pass loop, constant rows and zero-radius rows are those of
-    lowess_values, but no row shares weights with another: this is the
-    oracle for the uniform-grid moment paths.
+    lowess_values, but every row is fitted alone by the centred second pass:
+    this is the oracle for the moment paths.
     """
     n = len(t)
     order = np.argsort(t, kind="stable")
@@ -254,7 +254,8 @@ def row_by_row_passes(t, values, fraction, robust_iterations):
     robustness = None
     passes = []
     for _ in range(robust_iterations + 1):
-        smoothed[fit] = smoothing._fit_rows(t, values, fit, lo, hi, d_max, robustness)
+        for i in fit:
+            smoothed[i] = smoothing._fit_row(t, values, i, lo, hi, d_max, robustness)
         out = np.empty(n)
         out[order] = smoothed
         passes.append(out)
@@ -267,14 +268,19 @@ def row_by_row_passes(t, values, fraction, robust_iterations):
     return passes
 
 
-def uniform_case(seed, n, grid, outlier_share):
-    """A random walk on a uniform grid with a share of its points thrown far off."""
+def outlier_case(seed, n, grid, outlier_share):
+    """A random walk with a share of its points thrown far off.
+
+    The irregular grids face the block moments with gaps and ties.
+    """
     rng = np.random.default_rng(seed)
     ticks = np.arange(n)
     t = {
         "arange": ticks.astype(float),
         "ticks": ticks * 15 / 3600,
         "offset": 37.5 + ticks * 15 / 3600,
+        "jittered": ticks + rng.uniform(-0.3, 0.3, n),
+        "duplicates": np.sort(rng.integers(0, max(2, n // 3), n)).astype(float),
     }[grid]
     values = np.cumsum(rng.normal(0.0, 1.0, n))
     hit = rng.random(n) < outlier_share
@@ -299,7 +305,7 @@ def fitted_by_rows(monkeypatch, t, values, fraction, robust_iterations):
 
 
 class TestSharedWeights:
-    """On a uniform grid, rows fitted from shared weights match _fit_rows row by row."""
+    """Rows fitted from shared weights or block moments match the per-row centred fit."""
 
     def test_matches_row_by_row_fit(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -310,13 +316,13 @@ class TestSharedWeights:
             seed=st.integers(0, 2**32 - 1),
             # a second, wide range keeps most draws past the smallest sizes
             n=st.integers(3, 2000) | st.integers(200, 2000),
-            grid=st.sampled_from(["arange", "ticks", "offset"]),
+            grid=st.sampled_from(["arange", "ticks", "offset", "jittered", "duplicates"]),
             fraction=st.floats(0.0, 1.0, exclude_min=True),
             iterations=st.integers(0, 3),
             outlier_share=st.sampled_from([0.0, 0.02, 0.2]),
         )
         def check(seed, n, grid, fraction, iterations, outlier_share):
-            t, v = uniform_case(seed, n, grid, outlier_share)
+            t, v = outlier_case(seed, n, grid, outlier_share)
             passes = row_by_row_passes(t, v, fraction, iterations)
             for done in passes[:iterations]:
                 # the next pass is comparable only where its robustness weights
@@ -369,6 +375,33 @@ class TestSharedWeights:
         ours, handed = fitted_by_rows(monkeypatch, t, v, 0.3, 0)
         assert {0, 59} <= handed[0] and 1 not in handed[0]
         assert np.max(np.abs(ours - row_by_row_passes(t, v, 0.3, 0)[-1])) <= 1e-12 * np.ptp(v)
+
+    def test_block_across_a_gap_refits_its_rows_with_their_slopes(self, monkeypatch):
+        # one block spans both clusters, so about the middle of its t every
+        # row's moments cancel past _CONDITION_FLOOR and each row goes to
+        # _fit_row; the second cluster's slope of 2000 fails a fallback that
+        # keeps only the weighted mean
+        rng = np.random.default_rng(24)
+        t = np.concatenate([np.linspace(0.0, 1.0, 50), np.linspace(1000.0, 1000.001, 50)])
+        v = np.concatenate([np.sin(3.0 * t[:50]), 2000.0 * (t[50:] - 1000.0)])
+        v += rng.normal(0.0, 0.1, 100)
+        refitted = []
+        fit_row = smoothing._fit_row
+
+        def recording(t, values, i, *rest):
+            refitted.append(int(i))
+            return fit_row(t, values, i, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(smoothing, "_fit_row", recording)
+            ours = lowess_values(t, v, 0.3, 0)
+        assert sorted(refitted) == list(range(100))
+        # every window stays in its cluster; the reference fits each cluster
+        # where its t are small, so its centred sums lose no digits to t
+        ref = np.concatenate(
+            [reference_lowess(t, v, 0.3)[:50], reference_lowess(t - 1000.0, v, 0.3)[50:]]
+        )
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(v))
 
 
 class TestEquivariance:
