@@ -1,5 +1,7 @@
 """Metrics, the damped Gauss-Newton fitter, and fit-report serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,132 @@ class TestAgainstTrustRegionReflective:
         t = np.sort(rng.uniform(0.05, 10.0, int(rng.integers(300, 701))))
         y = eval_model(true, t) * (1.0 + rng.uniform(-0.02, 0.02, len(t)))
         self.check(t, y)
+
+
+def pinned_case(name):
+    """(t, y, start) of one of the solver runs PINNED_RESULTS records."""
+    t = np.linspace(0.1, 10.0, 200)
+    if name in ("all_free", "rejected_trials"):
+        rng = np.random.default_rng(1)
+        y = eval_model(FeedbackLoopModel(0.2, 0.1, 1.2), t) + rng.normal(0, 0.05, 200)
+        return t, y, [0.5, 0.0, 0.5] if name == "all_free" else [50.0, 0.9, 0.0]
+    if name == "alpha_held":
+        rng = np.random.default_rng(2)
+        y = eval_model(FeedbackLoopModel(0.3, 0.0, 1.1), t) * (1.0 + rng.uniform(-0.02, 0.02, 200))
+        return t, y, [0.5, 0.2, 0.5]
+    if name == "beta_held":  # log t = 0 everywhere, so beta's column and gradient are zero
+        return np.ones(5), np.arange(5.0), [1.0, 0.0, 0.0]
+    if name == "all_held":  # every gradient points below its bound from the start
+        return t, -np.ones(200), [0.0, 0.0, 0.0]
+    cfg = SimConfig()
+    columns = run(cfg, parse_workload(L2_WORKLOAD), ticks=2000, seed=0).columns()
+    curve = aging_degree(columns["tick"], columns["bandwidth_kbyte"], cfg)
+    t, y = np.asarray(curve.t), np.asarray(curve.y)
+    return t, y, fitting._initial_guess(t, y)
+
+
+# Every bit of LMResult on six runs: theta, gradient_cosine and ssr_path as float.hex.
+# rejected_trials solves 35 damped systems for its 20 accepted steps, all_free 11 for 8.
+PINNED_RESULTS = {
+    "all_free": (
+        ("0x1.94c1fba26ba32p-3", "0x1.95eb2204bee8dp-4", "0x1.35776d82827fep+0"),
+        8,
+        (
+            "0x1.9ba925070c294p+10", "0x1.8baa36c097a0ep+10", "0x1.630f27ab515ffp+6",
+            "0x1.8cd9fbf764434p+5", "0x1.4800c0bd23f04p+1", "0x1.65a61fb5fed34p-1",
+            "0x1.b7e85d1bc54a6p-2", "0x1.b4e04fc10e840p-2", "0x1.b4e04fb9ad2fap-2",
+        ),
+        "0x1.12a7a85ec0e6fp-28",
+        (),
+    ),
+    "alpha_held": (
+        ("0x1.32a11f67531bbp-2", "0x0.0p+0", "0x1.19e69eacba856p+0"),
+        6,
+        (
+            "0x1.d37b8bb98436ep+10", "0x1.8a732661ca6cep+6", "0x1.1da3ed85d65ccp+0",
+            "0x1.1d881f0e4dd42p-3", "0x1.1d51897bd088cp-3", "0x1.10955cbda242ep-3",
+            "0x1.10955bc2c6a38p-3",
+        ),
+        "0x1.a8259d21993f0p-31",
+        ("alpha",),
+    ),
+    "beta_held": (
+        ("0x1.587e3e3520bd2p+0", "0x1.95c2ae48c0549p-2", "0x0.0p+0"),
+        4,
+        (
+            "0x1.e000000000000p+3", "0x1.63a73fcc31326p+3", "0x1.402b146b199cap+3",
+            "0x1.400000648a429p+3", "0x1.4000000000000p+3",
+        ),
+        "0x1.59e7d7ff7dbd7p-28",
+        ("beta",),
+    ),
+    "all_held": (
+        ("0x1.19799812dea11p-40", "0x0.0p+0", "0x0.0p+0"),
+        0,
+        ("0x1.900000000370cp+7",),
+        "0x0.0p+0",
+        ("K", "alpha", "beta"),
+    ),
+    "rejected_trials": (
+        ("0x1.94c1fb95c69f0p-3", "0x1.95eb21f1049e3p-4", "0x1.35776d8b3b6eap+0"),
+        20,
+        (
+            "0x1.be2ab5e4605ecp+40", "0x1.50de491c7c47fp+35", "0x1.052dfe926023dp+25",
+            "0x1.455d1e4dc6232p+17", "0x1.31e5dbb427881p+14", "0x1.d3d7f82307317p+8",
+            "0x1.464f5b9b90cbcp+8", "0x1.51062bc1c4d9ap+7", "0x1.24e9bd0398318p+7",
+            "0x1.f7f5ba6ae3777p+6", "0x1.aded3c198d520p+6", "0x1.9accb9afdee23p+6",
+            "0x1.7afc0f57205b5p+2", "0x1.33004c28c05bcp+2", "0x1.5601b978a92e6p+0",
+            "0x1.cf4e7c7dc2bd7p-1", "0x1.5cd73c5be9f4fp-1", "0x1.55baa051c8602p-1",
+            "0x1.b5f934ea2edc1p-2", "0x1.b4e04fc313af2p-2", "0x1.b4e04fb9ad2dcp-2",
+        ),
+        "0x1.8fde6024caa5fp-29",
+        (),
+    ),
+    "aging_curve": (
+        ("0x1.945458855de64p-5", "0x1.cdb30c6d2dda0p-3", "0x1.197e42ab7cf01p-1"),
+        9,
+        (
+            "0x1.046fff74ad096p+1", "0x1.8d1858a0c4678p+0", "0x1.800f9309895d7p+0",
+            "0x1.79ae05efbab77p+0", "0x1.79adb6a58fc16p+0", "0x1.79adb4ce7d83fp+0",
+            "0x1.79adb4c2ad773p+0", "0x1.79adb4c26139cp+0", "0x1.79adb4c25f4d8p+0",
+            "0x1.79adb4c25f40ep+0",
+        ),
+        "0x1.b6e60a894ece8p-30",
+        (),
+    ),
+}
+
+
+def libm_digest():
+    """Digest of exp, log and a Gram product, the bits PINNED_RESULTS rests on."""
+    x = np.linspace(-5.0, 5.0, 2001)
+    a = np.column_stack((np.exp(x), np.log1p(x * x), x))
+    parts = (np.exp(x), np.log(np.abs(x) + 0.5), a.T @ a, a.T @ x)
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()[:16]
+
+
+class TestPinnedBits:
+    """The solver's result, bit for bit, on runs that cover each branch of an iteration.
+
+    A faster iteration must do the same arithmetic: these pins hold for any
+    rewrite of the bookkeeping. The bits of exp, log and BLAS products vary with
+    the numpy build and the CPU, so on a host where they differ from the ones
+    the pins were recorded with the test is skipped rather than failed.
+    """
+
+    @pytest.mark.parametrize("name", PINNED_RESULTS)
+    def test_result_bits(self, name):
+        if libm_digest() != "d3a9086376b6c98b":
+            pytest.skip("exp, log or BLAS round differently here than where the pins were taken")
+        t, y, start = pinned_case(name)
+        result = levenberg_marquardt(t, y, np.array(start))
+        theta, iterations, ssr_path, cosine, active = PINNED_RESULTS[name]
+        assert tuple(float(v).hex() for v in result.theta) == theta
+        assert result.iterations == iterations
+        assert tuple(v.hex() for v in result.ssr_path) == ssr_path
+        assert result.gradient_cosine.hex() == cosine
+        assert result.active_bounds == active
+        assert result.converged
 
 
 class TestFit:
