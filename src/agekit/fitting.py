@@ -19,6 +19,7 @@ cosine, so it holds at any scale of t, y or n.
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ LAMBDA_MIN = 1e-15
 STEP_TOL = 1e-10  # converged: largest relative parameter step below this
 GRADIENT_TOL = 1e-8  # converged: largest free residual-column cosine below this
 PARAMETERS = ("K", "alpha", "beta")
-LOWER_BOUNDS = np.array([K_MIN, 0.0, 0.0])
+LOWER_BOUNDS = (K_MIN, 0.0, 0.0)
 
 FIT_REPORT_HEADER = ("name", "K", "alpha", "beta", "rmse", "r_square")
 
@@ -64,23 +65,24 @@ def r_square(observed, predicted):
     return 1.0 - ss_res / ss_tot
 
 
-def _model_and_jacobian(theta, t, log_t):
+def _model_and_jacobian(theta, t, log_t, jac):
+    """Write the Jacobian's columns into the (n, 3) array ``jac``; return the model values."""
     K, alpha, beta = theta
     growth = np.exp(alpha * t) * np.exp(beta * log_t)  # exp(alpha*t) * t**beta
     f = K * growth
-    jac = np.column_stack((growth, t * f, log_t * f))
-    return f, jac
-
-
-def _project(theta):
-    return np.maximum(theta, LOWER_BOUNDS)
+    jac[:, 0] = growth  # contiguous products, then strided stores: faster than out= columns
+    jac[:, 1] = t * f
+    jac[:, 2] = log_t * f
+    return f
 
 
 def _largest_cosine(gradient, diag, ssr, free):
-    """Largest |J_j^T r| / (||J_j|| ||r||) over the free columns j, 0 when none."""
-    denominator = np.sqrt(diag) * np.sqrt(ssr)
-    cosines = np.abs(gradient) / np.where(denominator > 0.0, denominator, 1.0)
-    return float(np.max(cosines, initial=0.0, where=free))
+    """Largest |J_j^T r| / (||J_j|| ||r||) over the free columns j: 0 when none, NaN if any is."""
+    cosines = [0.0]
+    for k in free:
+        denominator = math.sqrt(diag[k]) * math.sqrt(ssr)
+        cosines.append(abs(gradient[k]) / (denominator if denominator > 0.0 else 1.0))
+    return math.nan if any(map(math.isnan, cosines)) else max(cosines)
 
 
 @dataclass(frozen=True)
@@ -111,68 +113,62 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     STEP_TOL. A step that no damping makes acceptable is a stall, not
     convergence.
     """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
     log_t = np.log(t)
-    theta = _project(np.asarray(start, dtype=float))
-    f, jac = _model_and_jacobian(theta, t, log_t)
-    residual = y - f
-    # not residual @ residual: past 10 000 elements OpenBLAS threads ddot, and a
-    # second thread waking from idle stalls each such dot by milliseconds
+    theta = np.maximum(np.asarray(start, dtype=float), LOWER_BOUNDS).tolist()
+    jac, trial_jac = np.empty((len(t), 3)), np.empty((len(t), 3))
+    residual = y - _model_and_jacobian(theta, t, log_t, jac)
+    # einsum, not @: OpenBLAS threads ddot past 10 000 elements, and its idle thread stalls it
     ssr = float(np.einsum("i,i->", residual, residual))
     ssr_path = [ssr]
     lam = LAMBDA_START
-    converged = False
-    stalled = False
+    converged = stalled = False
     iterations = 0
 
     while True:
-        gradient = jac.T @ residual
-        hessian = jac.T @ jac
-        diag = np.diag(hessian)
-        free = (theta > LOWER_BOUNDS) | (gradient > 0.0)
-        cosine = _largest_cosine(gradient, diag, ssr, free)
-        if cosine < GRADIENT_TOL:
-            converged = True
+        gradient, hessian = jac.T @ residual, jac.T @ jac
+        g, diag = gradient.tolist(), hessian.diagonal().tolist()
+        free = [k for k in range(3) if theta[k] > LOWER_BOUNDS[k] or g[k] > 0.0]
+        cosine = _largest_cosine(g, diag, ssr, free)
+        converged = converged or cosine < GRADIENT_TOL
         if converged or stalled or iterations == max_iterations:
             break
         iterations += 1
-        index = np.flatnonzero(free)
-        reduced = hessian[np.ix_(index, index)]
-        damping = np.diag(np.maximum(diag[index], 1e-30))  # keep it positive
+        system = hessian.copy() if len(free) == 3 else hessian[np.ix_(free, free)]
+        rhs = gradient if len(free) == 3 else gradient[free]
+        damping = [(diag[k], max(diag[k], 1e-30)) for k in free]  # keep it positive
         stalled = True
         while lam <= LAMBDA_MAX:
-            system = reduced + lam * damping
+            for i, (h, d) in enumerate(damping):
+                system[i, i] = h + lam * d
             try:
-                solved = np.linalg.solve(system, gradient[index])
+                solved = np.linalg.solve(system, rhs)
             except np.linalg.LinAlgError:
-                solved = np.linalg.lstsq(system, gradient[index], rcond=None)[0]
-            delta = np.zeros_like(theta)
-            delta[index] = solved
-            candidate = _project(theta + delta)
+                solved = np.linalg.lstsq(system, rhs, rcond=None)[0]
+            step = dict(zip(free, solved.tolist()))
+            trial = [max(theta[k] + step.get(k, 0.0), LOWER_BOUNDS[k]) for k in range(3)]
             with np.errstate(over="ignore", invalid="ignore"):  # such a step is rejected below
-                f_new, jac_new = _model_and_jacobian(candidate, t, log_t)
-                residual_new = y - f_new
-                ssr_new = float(np.einsum("i,i->", residual_new, residual_new))
-            if np.isfinite(ssr_new) and ssr_new < ssr:
-                step = np.abs(candidate - theta)
-                scale = np.maximum(np.abs(candidate), np.abs(theta))
-                rel_step = float(np.max(step / np.maximum(scale, 1e-12)))
-                theta, f, jac, residual, ssr = candidate, f_new, jac_new, residual_new, ssr_new
+                trial_residual = y - _model_and_jacobian(trial, t, log_t, trial_jac)
+                trial_ssr = float(np.einsum("i,i->", trial_residual, trial_residual))
+            if math.isfinite(trial_ssr) and trial_ssr < ssr:
+                rel_step = max(
+                    abs(c - p) / max(abs(c), abs(p), 1e-12) for c, p in zip(trial, theta)
+                )
+                theta, residual, ssr = trial, trial_residual, trial_ssr
+                jac, trial_jac = trial_jac, jac  # the old Jacobian is the next trial's buffer
                 ssr_path.append(ssr)
                 lam = max(lam / 10.0, LAMBDA_MIN)
-                stalled = False
-                converged = rel_step < STEP_TOL
+                stalled, converged = False, rel_step < STEP_TOL
                 break
             lam *= 10.0
 
     return LMResult(
-        theta=theta,
+        theta=np.array(theta),
         converged=converged,
         iterations=iterations,
         ssr_path=tuple(ssr_path),
         gradient_cosine=cosine,
-        active_bounds=tuple(name for name, is_free in zip(PARAMETERS, free) if not is_free),
+        active_bounds=tuple(name for k, name in enumerate(PARAMETERS) if k not in free),
     )
 
 

@@ -206,6 +206,16 @@ class TestLevenbergMarquardt:
         assert result.gradient_cosine < GRADIENT_TOL
         assert result.iterations < 50
 
+    def test_largest_cosine_skips_held_columns_and_propagates_nan(self):
+        gradient, diag = [2.0, -0.5, 3.0], [4.0, 1.0, 9.0]  # cosines 1, 0.5 and 1 at ssr 1
+        assert fitting._largest_cosine(gradient, diag, 1.0, [0, 1, 2]) == 1.0
+        assert fitting._largest_cosine(gradient, diag, 1.0, [1]) == 0.5
+        assert fitting._largest_cosine(gradient, diag, 1.0, []) == 0.0
+        assert fitting._largest_cosine([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0, [0, 1, 2]) == 0.0
+        assert np.isnan(fitting._largest_cosine([np.nan, 1.0, 3.0], diag, 1.0, [0, 1, 2]))
+        assert np.isnan(fitting._largest_cosine([1.0, 1.0, np.nan], diag, 1.0, [0, 1, 2]))
+        assert fitting._largest_cosine([np.nan, 1.0, 3.0], diag, 1.0, [1, 2]) == 1.0
+
     def test_cosine_stop_is_scale_free(self):
         # scaling y and K by s scales J^T r by s or s^2 but leaves every cosine as it is,
         # so the solver takes the same steps and stops at the same place at any scale
