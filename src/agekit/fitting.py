@@ -35,6 +35,7 @@ LAMBDA_MAX = 1e15
 LAMBDA_MIN = 1e-15
 STEP_TOL = 1e-10  # converged: largest relative parameter step below this
 GRADIENT_TOL = 1e-8  # converged: largest free residual-column cosine below this
+ROUNDING_FLOOR = (8.0 * math.ulp(1.0)) ** 2  # converged: a stall at SSR <= this * sum y^2
 PARAMETERS = ("K", "alpha", "beta")
 LOWER_BOUNDS = (K_MIN, 0.0, 0.0)
 
@@ -110,8 +111,9 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     Convergence means the largest cosine between the residual and a free
     Jacobian column, |J_j^T r| / (||J_j|| ||r||), fell below GRADIENT_TOL (a
     scale-free first-order test), or the relative parameter step fell below
-    STEP_TOL. A step that no damping makes acceptable is a stall, not
-    convergence.
+    STEP_TOL. A step that no damping makes acceptable is a stall. A stall is
+    convergence only at the rounding floor, SSR <= ROUNDING_FLOOR * sum(y^2):
+    there the residual, and so the cosine, is rounding noise.
     """
     t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
     log_t = np.log(t)
@@ -120,6 +122,7 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     residual = y - _model_and_jacobian(theta, t, log_t, jac)
     # einsum, not @: OpenBLAS threads ddot past 10 000 elements, and its idle thread stalls it
     ssr = float(np.einsum("i,i->", residual, residual))
+    ssr_floor = ROUNDING_FLOOR * float(np.einsum("i,i->", y, y))
     ssr_path = [ssr]
     lam = LAMBDA_START
     converged = stalled = False
@@ -130,7 +133,7 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
         g, diag = gradient.tolist(), hessian.diagonal().tolist()
         free = [k for k in range(3) if theta[k] > LOWER_BOUNDS[k] or g[k] > 0.0]
         cosine = _largest_cosine(g, diag, ssr, free)
-        converged = converged or cosine < GRADIENT_TOL
+        converged = converged or cosine < GRADIENT_TOL or (stalled and ssr <= ssr_floor)
         if converged or stalled or iterations == max_iterations:
             break
         iterations += 1

@@ -311,6 +311,19 @@ class TestFit:
         # observed, fitted, and residual lines across the two panels
         assert len(root.findall(f".//{SVG_NS}polyline")) == 3
 
+    def test_exact_linear_law_fits_without_warning(self, tmp_path, capsys):
+        # LOWESS and normalization keep a line exact, so each fit ends at the rounding floor
+        paths = []
+        for n in (50, 100, 400):
+            path = tmp_path / f"exact_{n}.csv"
+            t = np.arange(n) * 60.0
+            write_series_csv(path, t, t / 7200.0)
+            paths.append(str(path))
+        out = tmp_path / "report.csv"
+        assert main(["fit", *paths, "--orientation", "higher-is-worse", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [row["beta"] for row in read_report(out)] == pytest.approx([1.0] * 3, rel=1e-9)
+
     def test_time_scale_flag(self, tmp_path):
         # same curve written directly in hours fits with --time-scale 1
         record = FeedbackLoopModel(0.3, 0.05, 1.2)

@@ -216,6 +216,24 @@ class TestLevenbergMarquardt:
         assert np.isnan(fitting._largest_cosine([1.0, 1.0, np.nan], diag, 1.0, [0, 1, 2]))
         assert fitting._largest_cosine([np.nan, 1.0, 3.0], diag, 1.0, [1, 2]) == 1.0
 
+    def test_stall_at_the_rounding_floor_is_converged(self, monkeypatch):
+        # an exact linear law: once the residual is rounding noise no damped step lowers
+        # the SSR, and the cosine of a noise residual (0.24 here) says nothing
+        t = np.linspace(0.1, 10.0, 100)
+        y = t / 10.0
+        result = levenberg_marquardt(t, y, np.array([0.5, 0.0, 2.0]))
+        assert result.converged is True
+        assert len(result.ssr_path) == result.iterations  # the last iteration accepted nothing
+        assert result.gradient_cosine > GRADIENT_TOL
+        assert result.ssr_path[-1] <= fitting.ROUNDING_FLOOR * float(y @ y)
+        # the floor decides the flag only: without it the same run reports a stall
+        monkeypatch.setattr(fitting, "ROUNDING_FLOOR", 0.0)
+        stalled = levenberg_marquardt(t, y, np.array([0.5, 0.0, 2.0]))
+        assert stalled.converged is False
+        assert stalled.iterations == result.iterations
+        assert stalled.theta.tobytes() == result.theta.tobytes()
+        assert stalled.ssr_path == result.ssr_path
+
     def test_cosine_stop_is_scale_free(self):
         # scaling y and K by s scales J^T r by s or s^2 but leaves every cosine as it is,
         # so the solver takes the same steps and stops at the same place at any scale
@@ -409,6 +427,17 @@ class TestFit:
             assert abs(got.K - true.K) <= 1e-4 * true.K + 1e-12
             assert abs(got.alpha - true.alpha) <= 1e-4
             assert abs(got.beta - true.beta) <= 1e-4 * true.beta + 1e-12
+
+    def test_randomized_noiseless_aging_curves_converge(self):
+        # normalized like the CLI's curves (y <= 1); half hold alpha at its bound
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            t = np.sort(rng.uniform(0.05, 10.0, int(rng.integers(20, 401))))
+            alpha = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.5)
+            growth = eval_model(FeedbackLoopModel(1.0, alpha, rng.uniform(0.0, 2.5)), t)
+            report = fit(AgingCurve("exact", t, growth / growth.max()))
+            assert report.converged is True
+            assert report.r_square > 1.0 - 1e-12
 
     def test_noisy_fit_reasonable(self):
         rng = np.random.default_rng(4)
