@@ -2,20 +2,23 @@
 
     PYTHONPATH=src python3 bench/lm_sweep.py > sweep.json
 
-Times levenberg_marquardt from fit's own log-space start, best of 3 calls, at
-n = 1k, 4k, 16k and 172 800 samples (one month of 15 s ticks) on two kinds of
-input: the aging curve `report` fits to a simulator trace of n ticks (the
-shipped aging mix under the random law, seed 0; up to 16k only, because
-LOWESS is quadratic in n) and two seeded noisy growth laws on (0, 10] hours,
-one with alpha = 0 (the solver's active bound) and one with alpha > 0. Each
-row gives the iterations, whether the solver reported convergence, the final
-SSR and the final largest free-column cosine |J_j^T r| / (||J_j|| ||r||),
-computed here from the returned parameters so that every checkout is judged
-by the same rule, and the first call's time apart from the best of 3
-(first_s): a first call that pays for waking a BLAS thread shows there and
-not in best_s. agekit is imported from the path, so pointing PYTHONPATH
-at another checkout's src/ sweeps that checkout with the same inputs. Not
-part of the test suite: the largest size takes seconds per call.
+Times levenberg_marquardt from fit's own log-space start, best of 3 calls, on
+two kinds of input: the aging curve `report` fits to a simulator trace of n
+ticks (the shipped aging mix under the random law, seed 0; n = 1k, 4k and 16k
+only, because LOWESS is quadratic in n) and two seeded noisy growth laws on
+(0, 10] hours, one with alpha = 0 (the solver's active bound) and one with
+alpha > 0, at n = 300, 500 and 700 (the `fit-irregular` sizes), 1k, 4k, 16k
+and 172 800 samples (one month of 15 s ticks). Each row gives the
+iterations, the best time per iteration (us_per_iteration: at the small
+sizes mostly the fixed cost of an iteration), whether the solver reported
+convergence, the final SSR and the final largest free-column cosine
+|J_j^T r| / (||J_j|| ||r||), computed here from the returned parameters so
+that every checkout is judged by the same rule, and the first call's time
+apart from the best of 3 (first_s): a first call that pays for waking a BLAS
+thread shows there and not in best_s. agekit is imported from the path, so
+pointing PYTHONPATH at another checkout's src/ sweeps that checkout with the
+same inputs. Not part of the test suite: the largest size takes seconds per
+call.
 """
 
 import time
@@ -27,7 +30,7 @@ from agekit.simulator import SimConfig, aging_degree, parse_workload, run
 from harness import best_time, report
 
 WORKLOAD = "600,0,100,20,1000,0"
-SIZES = (1_000, 4_000, 16_000, 172_800)
+SIZES = (300, 500, 700, 1_000, 4_000, 16_000, 172_800)
 CURVE_SIZES = (1_000, 4_000, 16_000)
 SEED = 0
 LAWS = {"power-law": (0.3, 0.0, 1.1), "growth-law": (0.2, 0.1, 1.2)}  # K, alpha, beta
@@ -68,14 +71,18 @@ def main():
         began = time.perf_counter()
         result = fitting.levenberg_marquardt(t, y, start)
         first_s = time.perf_counter() - began
+        best_s = best_time(lambda: fitting.levenberg_marquardt(t, y, start))
         rows.append(
             {
                 "layer": "levenberg_marquardt",
                 "input": name,
                 "n": len(t),
                 "first_s": round(first_s, 6),
-                "best_s": round(best_time(lambda: fitting.levenberg_marquardt(t, y, start)), 6),
+                "best_s": round(best_s, 6),
                 "iterations": result.iterations,
+                "us_per_iteration": (
+                    round(1e6 * best_s / result.iterations, 2) if result.iterations else None
+                ),
                 "converged": result.converged,
                 "ssr": result.ssr_path[-1],
                 "cosine": free_cosine(t, y, result.theta),
