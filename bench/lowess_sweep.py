@@ -10,19 +10,23 @@ run the block fit on every row. Two small rows follow: 500 irregular
 samples, the size of a perfbench fit-irregular series, and a "gap" grid of
 100 samples, 50 on [0, 1] and 50 on [1000, 1000.001]. Its one block spans
 the gap, so every row's moments are ill posed and each row is refitted on
-its own. agekit is imported from the path, so
-pointing PYTHONPATH at another checkout's src/ sweeps that checkout with the
-same inputs. Not part of the test suite: the largest sizes
+its own. The last rows time the window search, smoothing._windows, alone:
+at 500 irregular samples per call over a batch of 100 calls, and at 16k on
+both grids. agekit is imported from the path, so pointing PYTHONPATH at
+another checkout's src/ sweeps that checkout with the same inputs. Not part of the test suite: the largest sizes
 take minutes on code that is quadratic in n.
 """
 
+import math
+
 import numpy as np
 
-from agekit.smoothing import lowess_values
+from agekit.smoothing import _windows, lowess_values
 from harness import best_time, report
 
 SIZES = (1_000, 4_000, 16_000, 64_000)
 SEED = 0
+WINDOW_CASES = (("irregular", 500, 100), ("irregular", 16_000, 1), ("uniform", 16_000, 1))
 
 
 def grid(kind, n):
@@ -54,6 +58,11 @@ def main():
                 "best_s": round(seconds, 6),
             }
         )
+    for kind, n, calls in WINDOW_CASES:
+        t = grid(kind, n)
+        window = math.ceil(0.3 * n)
+        seconds = best_time(lambda: [_windows(t, window) for _ in range(calls)]) / calls
+        rows.append({"layer": "_windows", "grid": kind, "n": n, "best_s": round(seconds, 7)})
     report(rows, fraction=0.3)
 
 

@@ -10,6 +10,7 @@ them. Diagnostics go to stderr; outputs are written atomically.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -234,6 +235,9 @@ def _add_simulation_flags(sub):
     sub.add_argument("--svg", help="optional chart path (bandwidth/memory/queue)")
 
 
+# parsing leaves the tree as it was, so one serves every main call; the
+# handlers resolve their library functions when they run
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="agekit",

@@ -113,7 +113,8 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     scale-free first-order test), or the relative parameter step fell below
     STEP_TOL. A step that no damping makes acceptable is a stall. A stall is
     convergence only at the rounding floor, SSR <= ROUNDING_FLOOR * sum(y^2):
-    there the residual, and so the cosine, is rounding noise.
+    there the residual, and so the cosine, is rounding noise. A start whose
+    SSR overflows float64 returns unconverged after 0 iterations.
     """
     t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
     log_t = np.log(t)
@@ -127,8 +128,11 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     lam = LAMBDA_START
     converged = stalled = False
     iterations = 0
+    cosine, free = math.nan, range(3)
 
-    while True:
+    # an overflowed SSR measures no step and would pass both stop tests, so a
+    # start there returns unconverged; every accepted SSR is finite
+    while math.isfinite(ssr):
         gradient, hessian = jac.T @ residual, jac.T @ jac
         g, diag = gradient.tolist(), hessian.diagonal().tolist()
         free = [k for k in range(3) if theta[k] > LOWER_BOUNDS[k] or g[k] > 0.0]
@@ -211,7 +215,8 @@ def fit(curve):
     """Fit the growth law to an aging curve and report goodness of fit.
 
     ``converged=False`` is a report outcome, not an exception; degenerate
-    input (constant y, everything under the floor, bad grid) raises.
+    input (constant y, everything under the floor, bad grid) raises, and so
+    does an SSR that overflows float64.
     """
     t = _as_readonly_float_array(curve.t, "t", "fit input has non-finite entries")
     y = _as_readonly_float_array(curve.y, "y", "fit input has non-finite entries")
@@ -226,6 +231,8 @@ def fit(curve):
 
     start = _initial_guess(t, y)
     result = levenberg_marquardt(t, y, start)
+    if not math.isfinite(result.ssr_path[-1]):
+        raise DomainError("fit overflowed: the values are too large for float64 sums")
     model = FeedbackLoopModel(*(float(p) for p in result.theta))
     predicted = eval_model(model, t)
     return FitReport(

@@ -6,13 +6,16 @@ boundary distance is included), weighted by the tricube kernel on d/d_max.
 
 Evaluation is batched. The samples are sorted by t once (results are
 scattered back to the caller's order), which makes every window a contiguous
-run [lo, hi). The bounds of all windows come from vectorised bisections over
-the same computed distances the definition uses, so boundary ties are decided
-exactly as a full scan would decide them. Every line is read off moments, a
+run [lo, hi). The bounds of all windows are guessed, the window's start from
+sums of sorted t and its ends from the block its radius came from, and each
+guess is checked on the same computed distances the definition uses; a row
+whose guess fails is found by bisection. So boundary ties are decided exactly
+as a full scan would decide them. Every line is read off moments, taken a
 block of consecutive rows at a time: one weight matrix over the union of the
 block's windows times the columns [1, x, x^2, y, x*y], under a fixed element
-budget. A row whose moments are ill posed is refitted on its own by a
-centred second pass, which holds every special case.
+budget. The lines of all rows are then read at once, and a row whose moments
+are ill posed is refitted on its own by a centred second pass, which holds
+every special case.
 
 On a uniform grid the first pass shares weights between rows. The interior
 windows share one symmetric tricube kernel, which puts each local line's
@@ -44,19 +47,28 @@ UNIFORM_TOLERANCE = 1e-13
 _CONDITION_FLOOR = 1e-6
 
 
-def _first_true(pred, lo, hi, last):
-    """Per row, the smallest k in [lo, hi) with pred(k), or hi if there is none.
+def _first_true(pred, lo, hi, last, guess):
+    """Per row, the smallest k in [lo, hi) with pred(rows, k), or hi if there is none.
 
-    pred maps an index array (one candidate per row) to booleans and must be
-    monotone (false, then true) over each row's range; last is the largest
-    index pred accepts. Each step halves every row's range.
+    pred maps the rows (an index array, or a slice for all of them) and one
+    candidate index per row to booleans and must be monotone (false, then true) over each row's range; last is the largest
+    index pred accepts. So the answer is the one k with pred(k) (or k = hi) and
+    not pred(k - 1) (or k = lo). A row whose guess, clipped to its range,
+    passes that check keeps it; the other rows bisect, each step halving every
+    range.
     """
-    for _ in range(int(np.max(hi - lo)).bit_length()):
+    k = np.minimum(np.maximum(guess, lo), hi)
+    found = (k == hi) | pred(slice(None), np.minimum(k, last))
+    found &= (k == lo) | ~pred(slice(None), np.maximum(k - 1, 0))
+    rows = np.flatnonzero(~found)
+    lo, hi = lo[rows], hi[rows]
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
         mid = (lo + hi) // 2
-        ok = pred(np.minimum(mid, last))
+        ok = pred(rows, np.minimum(mid, last))
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, np.minimum(mid + 1, hi))
-    return lo
+    k[rows] = lo
+    return k
 
 
 def _windows(t, window):
@@ -64,23 +76,36 @@ def _windows(t, window):
     n = len(t)
     rows = np.arange(n)
 
-    def dist(j):
-        return np.abs(t[j] - t)
+    def dist(r, j):
+        d = t[j] - t[r]
+        return np.abs(d, out=d)
 
     # the window nearest points around row i form a contiguous block [a, a+window);
     # the left distance falls and the right one rises as a moves right, so the
-    # best block is where they cross, or the one just before
+    # best block is where they cross, or the one just before; the crossing is
+    # where t[a] + t[a+window-1] reaches 2*t[i], up to rounding
     first = np.maximum(rows - window + 1, 0)
     final = np.minimum(rows, n - window)
-    a = _first_true(lambda a: dist(a) <= dist(a + window - 1), first, final, n - window)
-    b = np.maximum(a - 1, first)
-    d_max = np.minimum(
-        np.maximum(dist(a), dist(a + window - 1)),
-        np.maximum(dist(b), dist(b + window - 1)),
+    a = _first_true(
+        lambda r, a: dist(r, a) <= dist(r, a + window - 1),
+        first,
+        final,
+        n - window,
+        np.searchsorted(t[: n - window + 1] + t[window - 1 :], 2.0 * t),
     )
-    # widen to every point within d_max: ties at the boundary all enter
-    lo = _first_true(lambda j: dist(j) <= d_max, np.zeros(n, dtype=np.intp), rows, n - 1)
-    hi = _first_true(lambda j: dist(j) > d_max, rows + 1, np.full(n, n), n - 1)
+    b = np.maximum(a - 1, first)
+    d_max = np.maximum(dist(rows, a), dist(rows, a + window - 1))
+    reach_b = np.maximum(dist(rows, b), dist(rows, b + window - 1))
+    # widen to every point within d_max: ties at the boundary all enter; the
+    # block d_max came from is the window unless such ties lie outside it
+    start = np.where(d_max <= reach_b, a, b)
+    np.minimum(d_max, reach_b, out=d_max)
+    lo = _first_true(
+        lambda r, j: dist(r, j) <= d_max[r], np.zeros(n, dtype=np.intp), rows, n - 1, start
+    )
+    hi = _first_true(
+        lambda r, j: dist(r, j) > d_max[r], rows + 1, np.full(n, n), n - 1, start + window
+    )
     return lo, hi, d_max
 
 
@@ -126,17 +151,19 @@ def _tricube(u):
 
 def _fit_rows(t, values, rows, lo, hi, d_max, robustness):
     """Local linear fit at each sorted, distinct row from block moments, or by _fit_row."""
-    fitted = np.empty(len(rows))
     if len(rows) == 0:  # a uniform first pass often leaves none: build no buffer
-        return fitted
+        return np.empty(0)
     # 1, x, x^2, y, x*y; x refilled in place: a new matrix per block costs more than its product
     columns = np.ones((len(t), 5))
     columns[:, 3] = values
+    moments = np.empty((len(rows), 5))
+    x0 = np.empty(len(rows))  # each row's x, about the centre of its block
     for start, end in _block_ends(rows, lo, hi):
         r = rows[start:end]
         c0 = lo[r].min()
         c1 = hi[r].max()
-        w = np.abs(t[c0:c1] - t[r, None])
+        w = np.subtract(t[c0:c1], t[r, None])
+        np.abs(w, out=w)
         # clipped at d_max, a point past the window weighs 0 and cannot overflow u
         np.minimum(w, d_max[r, None], out=w)
         w /= d_max[r, None]
@@ -147,11 +174,11 @@ def _fit_rows(t, values, rows, lo, hi, d_max, robustness):
         np.subtract(t[c0:c1], t[c0] / 2 + t[c1 - 1] / 2, out=x)
         np.multiply(x, x, out=columns[c0:c1, 2])
         np.multiply(x, values[c0:c1], out=columns[c0:c1, 4])
-        s0, s1, s2, sy, sxy = (w @ columns[c0:c1]).T
-        out, ok = _line_at(s0, s1, s2, sy, sxy, x[r - c0])
-        for k in np.flatnonzero(~ok):
-            out[k] = _fit_row(t, values, r[k], lo, hi, d_max, robustness)
-        fitted[start:end] = out
+        np.matmul(w, columns[c0:c1], out=moments[start:end])
+        x0[start:end] = x[r - c0]
+    fitted, ok = _line_at(*moments.T, x0)
+    for k in np.flatnonzero(~ok):
+        fitted[k] = _fit_row(t, values, rows[k], lo, hi, d_max, robustness)
     return fitted
 
 

@@ -556,6 +556,34 @@ class TestModuleEntrypoint:
         assert "Traceback" not in done.stderr
         assert not os.path.exists(out)
 
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # main reuses one parser, so a usage error, --help and a fit run twice
+        # in one process must each exit and write as a fresh process does
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+        rng = np.random.default_rng(25)
+        t = np.cumsum(rng.uniform(20.0, 100.0, 300))
+        src = tmp_path / "series.csv"
+        write_series_csv(src, t, 500.0 + 100.0 * (t / 3600.0) ** 1.2 + rng.normal(0.0, 1.0, 300))
+        calls = [
+            ["fit", "--orientation", "sideways", "-o", "{out}", str(src)],
+            ["fit", "--help"],
+            ["fit", "--orientation", "higher-is-worse", "-o", "{out}", str(src)],
+        ]
+        codes = []
+        for argv in calls * 2:
+            ours, fresh = tmp_path / "ours.csv", tmp_path / "fresh.csv"
+            code = main([arg.format(out=ours) for arg in argv])
+            captured = capsys.readouterr()
+            done = self.agekit(*(arg.format(out=fresh) for arg in argv))
+            assert (code, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr)
+            codes.append(code)
+            assert ours.exists() == fresh.exists()
+            if ours.exists():
+                assert ours.read_bytes() == fresh.read_bytes()
+                ours.unlink()
+                fresh.unlink()
+        assert codes == [2, 0, 0] * 2
+
     def test_domain_error_exit_code(self, tmp_path):
         out = str(tmp_path / "t.csv")
         done = self.agekit("simulate", "--workload", "950,0,20,20,1000,0", "-o", out)

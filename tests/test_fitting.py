@@ -234,6 +234,16 @@ class TestLevenbergMarquardt:
         assert stalled.theta.tobytes() == result.theta.tobytes()
         assert stalled.ssr_path == result.ssr_path
 
+    def test_overflowed_ssr_is_never_converged(self):
+        # y^2 overflows, so the SSR at the start is inf: every cosine |g| / inf
+        # would read 0 and the rounding floor sum(y^2) * (8 eps)^2 would be inf
+        t = np.linspace(1.0, 50.0, 50)
+        result = levenberg_marquardt(t, 1e160 * t, np.array([1.0, 0.0, 1.0]))
+        assert result.converged is False
+        assert result.iterations == 0
+        assert result.ssr_path == (np.inf,)
+        assert np.isnan(result.gradient_cosine)
+
     def test_cosine_stop_is_scale_free(self):
         # scaling y and K by s scales J^T r by s or s^2 but leaves every cosine as it is,
         # so the solver takes the same steps and stops at the same place at any scale
@@ -482,6 +492,13 @@ class TestFit:
     def test_too_few_samples(self):
         with pytest.raises(DomainError, match="at least 4"):
             fit(AgingCurve.unchecked("c", [1.0, 2.0, 3.0], [0.1, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowed_fit_is_a_domain_error(self, scale):
+        # no warning escapes: a RuntimeWarning fails the suite
+        t = np.linspace(1.0, 50.0, 50)
+        with pytest.raises(DomainError, match="fit overflowed"):
+            fit(AgingCurve.unchecked("c", t, scale * t))
 
     def test_nonpositive_times_rejected(self):
         with pytest.raises(DomainError, match="positive"):

@@ -228,6 +228,81 @@ class TestOracleEquivalence:
         assert np.max(np.abs(ours - ref)) <= 1e-9
 
 
+def scanned_windows(t, window):
+    """lo, hi and d_max of every row of sorted t by a full scan of the computed |t_j - t_i|.
+
+    d_max is the window-th smallest distance, and [lo, hi) holds every point
+    within it.
+    """
+    n = len(t)
+    lo, hi, d_max = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
+    for i in range(n):
+        distances = np.abs(t - t[i])
+        d_max[i] = np.sort(distances)[window - 1]
+        inside = np.flatnonzero(distances <= d_max[i])
+        lo[i], hi[i] = inside[0], inside[-1] + 1
+        assert hi[i] - lo[i] == len(inside)  # sorted t: a contiguous run
+    return lo, hi, d_max
+
+
+class TestWindows:
+    """_windows' checked guesses and bisections against the definition."""
+
+    def test_matches_a_full_scan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            n=st.integers(3, 150),
+            grid=st.sampled_from(["ties", "duplicated", "jittered", "offset"]),
+            exponent=st.integers(-8, 8),
+            # None is a window of 2
+            fraction=st.sampled_from([None, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+        )
+        def check(seed, n, grid, exponent, fraction):
+            rng = np.random.default_rng(seed)
+            t = {
+                # a few integer places, so most distances tie
+                "ties": lambda: rng.integers(0, max(2, n // 8), n).astype(float),
+                "duplicated": lambda: np.repeat(rng.uniform(0.0, 1.0, n), rng.integers(1, 4, n)),
+                "jittered": lambda: np.arange(n) + rng.uniform(-0.5, 0.5, n),
+                # distances cancel against a large offset
+                "offset": lambda: 1e6 + 0.1 * rng.integers(0, n, n),
+            }[grid]()
+            t = np.sort(t) * 10.0**exponent
+            window = 2 if fraction is None else max(2, math.ceil(fraction * len(t)))
+            for ours, scanned in zip(smoothing._windows(t, window), scanned_windows(t, window)):
+                assert np.array_equal(ours, scanned)
+
+        check()
+
+    def test_ties_past_the_window_are_found_by_bisection(self):
+        # window 2: row 0's radius is 1, so all four points at 1.0 enter its
+        # window, and rows 1-4 have radius 0 with the same four points; each
+        # window holds more than the 2 points of the block its bounds are
+        # guessed from, so those guesses miss and the rows bisect
+        t = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        lo, hi, d_max = smoothing._windows(t, 2)
+        assert np.all(hi[:5] - lo[:5] > 2)
+        for ours, scanned in zip((lo, hi, d_max), scanned_windows(t, 2)):
+            assert np.array_equal(ours, scanned)
+
+    def test_first_true_does_not_depend_on_the_guess(self):
+        # a threshold predicate is monotone over any range: its first true
+        # index in [lo, hi) is the threshold clipped to the range, whatever
+        # is guessed
+        rng = np.random.default_rng(26)
+        lo = rng.integers(0, 50, 200)
+        hi = lo + rng.integers(0, 50, 200)
+        threshold = rng.integers(-5, 105, 200)
+        expected = np.clip(threshold, lo, hi)
+        for guess in (lo, hi, threshold, rng.integers(-10, 120, 200)):
+            found = smoothing._first_true(lambda r, k: k >= threshold[r], lo, hi, 200, guess)
+            assert np.array_equal(found, expected)
+
+
 def row_by_row_passes(t, values, fraction, robust_iterations):
     """The smoothed values after each pass, every fitted row by _windows and _fit_row.
 
