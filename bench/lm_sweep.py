@@ -15,7 +15,9 @@ convergence, the final SSR and the final largest free-column cosine
 |J_j^T r| / (||J_j|| ||r||), computed here from the returned parameters so
 that every checkout is judged by the same rule, and the first call's time
 apart from the best of 3 (first_s): a first call that pays for waking a BLAS
-thread shows there and not in best_s. agekit is imported from the path, so
+thread shows there and not in best_s. guess_s is the best of 3 calls of the
+start itself, fitting._initial_guess, so a start that costs more shows beside
+the iterations it saves. agekit is imported from the path, so
 pointing PYTHONPATH at another checkout's src/ sweeps that checkout with the
 same inputs. Not part of the test suite: the largest size takes seconds per
 call.
@@ -72,11 +74,13 @@ def main():
         result = fitting.levenberg_marquardt(t, y, start)
         first_s = time.perf_counter() - began
         best_s = best_time(lambda: fitting.levenberg_marquardt(t, y, start))
+        guess_s = best_time(lambda: fitting._initial_guess(t, y))
         rows.append(
             {
                 "layer": "levenberg_marquardt",
                 "input": name,
                 "n": len(t),
+                "guess_s": round(guess_s, 6),
                 "first_s": round(first_s, 6),
                 "best_s": round(best_s, 6),
                 "iterations": result.iterations,

@@ -1,11 +1,17 @@
 """Least-squares fitting of the kinetic growth law to an aging curve.
 
 Two stages, both in this module because the second is useless without the
-first: a linear initializer (ordinary least squares on ln y = ln K + alpha*t
-+ beta*ln t over samples safely above zero) and a damped Gauss-Newton refiner
-(Levenberg-Marquardt) on the original, untransformed objective
+first: a linear initializer (least squares on ln y = ln K + alpha*t + beta*ln t
+over samples safely above zero, each row weighted by y_i) and a damped
+Gauss-Newton refiner (Levenberg-Marquardt) on the original, untransformed
+objective
 
     S(K, alpha, beta) = sum_i (y_i - K * exp(alpha*t_i) * t_i**beta)^2.
+
+Unweighted, the log-space fit would weigh each sample by 1/y_i^2, so the
+near-zero early samples would decide the start. Weighting row i by y_i makes
+its residual y_i * (ln y_i - ln f_i), about y_i - f_i: to first order the
+untransformed objective (Guo 2011, IEEE Signal Processing Magazine 28(5)).
 
 The refiner is a projected LM with an active set (Kanzow, Yamashita &
 Fukushima 2004): a parameter at its lower bound (K_MIN, alpha = 0, beta = 0)
@@ -14,18 +20,21 @@ solved on the free parameters and projected onto the bounds, and it is only
 accepted when it lowers S, so the accepted-step S sequence is nonincreasing by
 construction. It stops, as MINPACK's gtol test does (More 1978), once every
 free Jacobian column is nearly orthogonal to the residual: the test is on a
-cosine, so it holds at any scale of t, y or n.
+cosine, so it holds at any scale of t, y or n. A step that no damping makes
+acceptable is a stall; a stall is convergence when the Gauss-Newton step on
+the free parameters promises a decrease within the rounding the SSR carries.
 """
 
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import FeedbackLoopModel, eval_model
+from .model import FeedbackLoopModel
 from .timeseries import _as_readonly_float_array, format_float, write_text_atomic
 
 Y_FLOOR = 1e-6  # below this a sample cannot inform the log-space initializer
@@ -35,7 +44,10 @@ LAMBDA_MAX = 1e15
 LAMBDA_MIN = 1e-15
 STEP_TOL = 1e-10  # converged: largest relative parameter step below this
 GRADIENT_TOL = 1e-8  # converged: largest free residual-column cosine below this
-ROUNDING_FLOOR = (8.0 * math.ulp(1.0)) ** 2  # converged: a stall at SSR <= this * sum y^2
+# converged: a stall whose Gauss-Newton step promises an SSR decrease <= this * sum |y * r|,
+# the rounding the SSR carries when each residual holds about 2 eps |y|
+SSR_ROUNDING = 4.0 * math.ulp(1.0)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the start's ln K stays below overflow
 PARAMETERS = ("K", "alpha", "beta")
 LOWER_BOUNDS = (K_MIN, 0.0, 0.0)
 
@@ -86,6 +98,18 @@ def _largest_cosine(gradient, diag, ssr, free):
     return math.nan if any(map(math.isnan, cosines)) else max(cosines)
 
 
+def _promise_within_rounding(gradient, hessian, free, y, residual):
+    """Whether the Gauss-Newton step on the free parameters promises an SSR decrease
+    g_f^T H_ff^-1 g_f of at most SSR_ROUNDING * sum |y * r|; a singular H_ff promises no bound."""
+    g = gradient[free]
+    try:
+        promise = float(g @ np.linalg.solve(hessian[np.ix_(free, free)], g))
+    except np.linalg.LinAlgError:
+        return False
+    rounding = SSR_ROUNDING * float(np.einsum("i,i->", np.abs(y), np.abs(residual)))
+    return promise <= rounding
+
+
 @dataclass(frozen=True)
 class LMResult:
     """Raw solver outcome: final parameters plus bookkeeping for diagnostics."""
@@ -98,6 +122,7 @@ class LMResult:
     active_bounds: tuple  # names of the parameters frozen at their lower bound at theta
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed SSR or step is rejected below
 def levenberg_marquardt(t, y, start, max_iterations=200):
     """Minimize the untransformed SSR from ``start`` over K >= K_MIN, alpha, beta >= 0.
 
@@ -112,9 +137,13 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     Jacobian column, |J_j^T r| / (||J_j|| ||r||), fell below GRADIENT_TOL (a
     scale-free first-order test), or the relative parameter step fell below
     STEP_TOL. A step that no damping makes acceptable is a stall. A stall is
-    convergence only at the rounding floor, SSR <= ROUNDING_FLOOR * sum(y^2):
-    there the residual, and so the cosine, is rounding noise. A start whose
-    SSR overflows float64 returns unconverged after 0 iterations.
+    convergence when the undamped Gauss-Newton step on the free parameters
+    promises an SSR decrease g_f^T H_ff^-1 g_f of at most SSR_ROUNDING *
+    sum |y_i * r_i|: each residual carries about 2 eps |y_i| of rounding, so
+    the SSR cannot resolve a smaller decrease, and the cosine there may be
+    rounding noise. A singular H_ff is not convergence. A start whose SSR
+    overflows float64, or a Gram matrix J^T J that does, ends the run
+    unconverged with a NaN cosine.
     """
     t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
     log_t = np.log(t)
@@ -123,21 +152,27 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     residual = y - _model_and_jacobian(theta, t, log_t, jac)
     # einsum, not @: OpenBLAS threads ddot past 10 000 elements, and its idle thread stalls it
     ssr = float(np.einsum("i,i->", residual, residual))
-    ssr_floor = ROUNDING_FLOOR * float(np.einsum("i,i->", y, y))
     ssr_path = [ssr]
     lam = LAMBDA_START
     converged = stalled = False
     iterations = 0
     cosine, free = math.nan, range(3)
 
-    # an overflowed SSR measures no step and would pass both stop tests, so a
-    # start there returns unconverged; every accepted SSR is finite
+    # an overflowed SSR or Gram matrix measures no step and would pass both stop
+    # tests, so a start there returns unconverged; every accepted SSR is finite
     while math.isfinite(ssr):
         gradient, hessian = jac.T @ residual, jac.T @ jac
         g, diag = gradient.tolist(), hessian.diagonal().tolist()
+        if not math.isfinite(sum(diag)):
+            cosine = math.nan
+            break
         free = [k for k in range(3) if theta[k] > LOWER_BOUNDS[k] or g[k] > 0.0]
         cosine = _largest_cosine(g, diag, ssr, free)
-        converged = converged or cosine < GRADIENT_TOL or (stalled and ssr <= ssr_floor)
+        converged = (
+            converged
+            or cosine < GRADIENT_TOL
+            or (stalled and _promise_within_rounding(gradient, hessian, free, y, residual))
+        )
         if converged or stalled or iterations == max_iterations:
             break
         iterations += 1
@@ -154,9 +189,8 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
                 solved = np.linalg.lstsq(system, rhs, rcond=None)[0]
             step = dict(zip(free, solved.tolist()))
             trial = [max(theta[k] + step.get(k, 0.0), LOWER_BOUNDS[k]) for k in range(3)]
-            with np.errstate(over="ignore", invalid="ignore"):  # such a step is rejected below
-                trial_residual = y - _model_and_jacobian(trial, t, log_t, trial_jac)
-                trial_ssr = float(np.einsum("i,i->", trial_residual, trial_residual))
+            trial_residual = y - _model_and_jacobian(trial, t, log_t, trial_jac)
+            trial_ssr = float(np.einsum("i,i->", trial_residual, trial_residual))
             if math.isfinite(trial_ssr) and trial_ssr < ssr:
                 rel_step = max(
                     abs(c - p) / max(abs(c), abs(p), 1e-12) for c, p in zip(trial, theta)
@@ -194,6 +228,8 @@ class FitReport:
 
 
 def _initial_guess(t, y):
+    """Start (K, alpha, beta): least squares on ln y = ln K + alpha*t + beta*ln t with
+    each row weighted by y, over the samples above Y_FLOOR, clipped to the bounds."""
     usable = y > Y_FLOOR
     count = int(usable.sum())
     if count == 0:
@@ -204,10 +240,10 @@ def _initial_guess(t, y):
         raise DomainError(
             f"only {count} samples above y_floor={Y_FLOOR}; need 3 to initialize 3 parameters"
         )
-    tm = t[usable]
-    design = np.column_stack((np.ones(count), tm, np.log(tm)))
-    coef, *_ = np.linalg.lstsq(design, np.log(y[usable]), rcond=None)
-    k0 = float(np.exp(np.clip(coef[0], np.log(K_MIN), np.log(1e12))))
+    tm, ym = t[usable], y[usable]
+    design = np.column_stack((ym, ym * tm, ym * np.log(tm)))
+    coef, *_ = np.linalg.lstsq(design, ym * np.log(ym), rcond=None)
+    k0 = math.exp(min(max(float(coef[0]), math.log(K_MIN)), LOG_FLOAT_MAX))
     return np.array([k0, max(float(coef[1]), 0.0), max(float(coef[2]), 0.0)])
 
 
@@ -229,16 +265,16 @@ def fit(curve):
     if np.all(y == y[0]):
         raise DomainError("degenerate curve: constant aging degree cannot be fitted")
 
-    start = _initial_guess(t, y)
-    result = levenberg_marquardt(t, y, start)
-    if not math.isfinite(result.ssr_path[-1]):
+    result = levenberg_marquardt(t, y, _initial_guess(t, y))
+    ssr = result.ssr_path[-1]
+    with np.errstate(over="ignore"):
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if not math.isfinite(ssr) or not math.isfinite(ss_tot):
         raise DomainError("fit overflowed: the values are too large for float64 sums")
-    model = FeedbackLoopModel(*(float(p) for p in result.theta))
-    predicted = eval_model(model, t)
     return FitReport(
-        model=model,
-        rmse=rmse(y, predicted),
-        r_square=r_square(y, predicted),
+        model=FeedbackLoopModel(*(float(p) for p in result.theta)),
+        rmse=math.sqrt(ssr / len(t)),
+        r_square=1.0 - ssr / ss_tot,
         n_samples=len(t),
         converged=result.converged,
         iterations=result.iterations,
