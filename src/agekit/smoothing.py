@@ -45,6 +45,11 @@ UNIFORM_TOLERANCE = 1e-13
 # eps*S0*S2/(S0*S2 - S1^2) of relative precision, so below it the row is ill
 # posed and goes to _fit_row's centred second pass
 _CONDITION_FLOOR = 1e-6
+# a row whose weighted spread of t is at most this share of its radius has its
+# weight at one place up to rounding (a point at d_max up to rounding keeps a
+# tricube weight near 1e-45, a spread near 1e-22 of the radius): its slope
+# would be made of rounding error, so it takes the weighted mean
+_SPREAD_FLOOR = 1e-12
 
 
 def _first_true(pred, lo, hi, last, guess):
@@ -176,7 +181,7 @@ def _fit_rows(t, values, rows, lo, hi, d_max, robustness):
         np.multiply(x, values[c0:c1], out=columns[c0:c1, 4])
         np.matmul(w, columns[c0:c1], out=moments[start:end])
         x0[start:end] = x[r - c0]
-    fitted, ok = _line_at(*moments.T, x0)
+    fitted, ok = _line_at(*moments.T, x0, d_max[rows])
     for k in np.flatnonzero(~ok):
         fitted[k] = _fit_row(t, values, rows[k], lo, hi, d_max, robustness)
     return fitted
@@ -186,7 +191,8 @@ def _fit_row(t, values, i, lo, hi, d_max, robustness):
     """Local linear fit at row i alone, by a centred second pass.
 
     A zero radius or a window a robustness pass zeroed gives the plain mean,
-    weight at one place the weighted mean, an infinite x variance NaN.
+    weight at one place (a spread within _SPREAD_FLOOR of the radius) the
+    weighted mean, an infinite x variance NaN.
     """
     y = values[lo[i] : hi[i]]
     if d_max[i] == 0.0:
@@ -204,20 +210,24 @@ def _fit_row(t, values, i, lo, hi, d_max, robustness):
     sxx = wdx @ (x - x_bar)
     if np.isinf(sxx):
         return np.nan
-    if not sxx > 0.0:
+    if not math.sqrt(sxx / total) > _SPREAD_FLOOR * d_max[i]:
         return y_bar
     return y_bar - (wdx @ y - y_bar * wdx.sum()) / sxx * x_bar
 
 
-def _line_at(s0, s1, s2, sy, sxy, x0):
-    """Value at x0 of the weighted line with moments S0..Sxy, and whether it is well posed."""
+def _line_at(s0, s1, s2, sy, sxy, x0, radius):
+    """Value at x0 of the weighted line with moments S0..Sxy, and whether it is well posed.
+
+    A row is ill posed where its moments cancel past _CONDITION_FLOOR or its
+    weighted spread is within _SPREAD_FLOOR of its window radius.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         x_bar = s1 / s0
         y_bar = sy / s0
         var = s2 / s0 - x_bar * x_bar
         cov = sxy / s0 - x_bar * y_bar
         value = y_bar + cov / var * (x0 - x_bar)
-        ok = var > _CONDITION_FLOOR * (s2 / s0)
+        ok = (var > _CONDITION_FLOOR * (s2 / s0)) & (np.sqrt(var) > _SPREAD_FLOOR * radius)
     return value, ok
 
 
@@ -266,7 +276,10 @@ def _band_lines(values, left, lo, hi):
         np.minimum(w, 1.0, out=w)  # past the radius the weight is 0
         sums[start : start + step] = _tricube(w) @ columns
     s0, s1, s2, sy, sxy, sy_rev, sxy_rev = sums.T
-    return _line_at(s0, s1, s2, sy, sxy, x0), _line_at(s0, s1, s2, sy_rev, sxy_rev, x0)
+    return (
+        _line_at(s0, s1, s2, sy, sxy, x0, radius),
+        _line_at(s0, s1, s2, sy_rev, sxy_rev, x0, radius),
+    )
 
 
 def _fit_shared_rows(values, fit, lo, hi, half, smoothed):

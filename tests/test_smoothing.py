@@ -478,6 +478,27 @@ class TestSharedWeights:
         )
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(v))
 
+    def test_weight_at_one_other_point_takes_its_value(self):
+        # window 13 on a tick grid: after one robust pass row 22's window
+        # weighs row 19 by 0.63 and row 16, at d_max up to rounding, by 3e-45;
+        # a slope through the two is made of rounding error (it put the
+        # row-by-row fit at -9.41 and the block moments at -7.20)
+        t, v = outlier_case(0, 820, "ticks", 0.02)
+        passes = row_by_row_passes(t, v, 0.015625, 1)
+        ours = lowess_values(t, v, 0.015625, 1)
+        assert passes[-1][22] == pytest.approx(v[19], rel=1e-15)
+        assert ours[22] == pytest.approx(v[19], rel=1e-15)
+        assert np.max(np.abs(ours - passes[-1])) <= 1e-10 * (np.ptp(v) + 1.0)
+
+    def test_moments_with_spread_under_the_floor_are_ill_posed(self):
+        # weight 1 at the block centre and 1e-30 at x = 1: the moments do not
+        # cancel past _CONDITION_FLOOR, but the spread is 1e-15 of the radius
+        for radius, ok in ((1.0, False), (1e-4, True)):
+            # s0, s1, s2, sy, sxy, x0, radius
+            row = [np.array([m]) for m in (1.0, 1e-30, 1e-30, 2.0, 3e-30, 0.0, radius)]
+            _, posed = smoothing._line_at(*row)
+            assert posed.tolist() == [ok]
+
 
 class TestEquivariance:
     def test_translation(self):
