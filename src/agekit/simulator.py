@@ -40,6 +40,10 @@ rows as a ``Trace``, which builds a ``SimState`` only when one is read. A
 hoisted constant is only ever the leading factor of a left-to-right product
 (the reclaim rate times a reclaimable fraction, the stale rate times churn),
 so every value is the one the laws give when evaluated term by term in order.
+The kernel clamps with comparisons, never with builtin min or max, whose call
+costs CPython several times the comparison it makes. Each keeps the builtin's
+argument order, max(a, b) as ``b if b > a else a`` and min(a, b) as
+``b if b < a else a``, so ties, NaN and -0.0 give what the builtin gives.
 """
 
 import functools
@@ -55,7 +59,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, _is_integral, _is_real, _shown
 from .normalize import to_aging_curve
-from .timeseries import MetricSeries, Orientation, _read_columns, format_float, write_text_atomic
+from .timeseries import MetricSeries, Orientation, _read_columns, write_text_atomic
 from .timeseries import _as_readonly_float_array, _open_text
 
 class FileDist(IntEnum):
@@ -517,15 +521,20 @@ def _poisson_top_mass(ranked, prefix_mass, cached_files):
 
     ``ranked`` and ``prefix_mass`` are the pair ``_ranked_popularity`` returns.
     """
-    whole = int(math.floor(cached_files))
-    mass = prefix_mass.get(whole)
-    if mass is None:
+    whole = int(cached_files)  # floor, as cached_files is finite and nonnegative
+    entry = prefix_mass.get(whole)
+    if entry is None:
         # one np.sum over the prefix, never a running total, so every bit of
-        # p_miss (and with it the RNG stream) matches an uncached evaluation
-        mass = prefix_mass[whole] = float(ranked[:whole].sum())
-    if whole < len(ranked):
-        mass += (cached_files - whole) * float(ranked[whole])
-    return min(mass, 1.0)
+        # p_miss (and with it the RNG stream) matches an uncached evaluation;
+        # past the last file the next mass is 0.0, and only cached_files ==
+        # len(ranked) reaches it, where the term added below is 0.0 * 0.0
+        entry = prefix_mass[whole] = (
+            float(ranked[:whole].sum()),
+            float(ranked[whole]) if whole < len(ranked) else 0.0,
+        )
+    mass, next_mass = entry
+    mass += (cached_files - whole) * next_mass
+    return 1.0 if 1.0 < mass else mass
 
 
 def _reclaim_rates(threshold, cfg):
@@ -614,8 +623,9 @@ def _advance(state, load, cfg, policy, ticks, rng):
 
     rows = [_row(state)]
     for _ in range(ticks):
-        # aging_level() of the state this tick starts from
-        active = policed and max(0.0, 1.0 - bw_avg / nominal) >= trigger
+        # aging_level() of the state this tick starts from, compared with the
+        # trigger; its clamp at 0 cannot change the test, as the trigger is > 0
+        active = policed and 1.0 - bw_avg / nominal >= trigger
 
         # --- request arrivals and cache misses ---------------------------
         if active and thinning:
@@ -629,14 +639,17 @@ def _advance(state, load, cfg, policy, ticks, rng):
             # cache-hit admission turns every would-be miss away at the door
             misses = 0
         else:
-            cached_files = min(catalog, live_mb / footprint)
+            cached_files = live_mb / footprint
+            cached_files = cached_files if cached_files < catalog else catalog
             if poisson:
                 p_miss = 1.0 - top_mass(ranked, prefix_mass, cached_files)
             elif single_file:
                 p_miss = 0.0 if cached_files >= 1.0 else 1.0
             else:
-                p_miss = 1.0 - min(cached_files / file_object, 1.0)
-            p_miss = min(max(p_miss, 0.0), 1.0)
+                share = cached_files / file_object
+                p_miss = 1.0 - (1.0 if 1.0 < share else share)
+            p_miss = 0.0 if 0.0 > p_miss else p_miss
+            p_miss = 1.0 if 1.0 < p_miss else p_miss
             if sampled:
                 misses = int(binomial(tick_requests, p_miss))
             else:
@@ -649,14 +662,17 @@ def _advance(state, load, cfg, policy, ticks, rng):
         else:
             block = block_kb
             if block < max_block and latency > blocksize_ratio * (block / base_block):
-                block = min(block * 2.0, max_block)
+                block = block * 2.0
+                block = max_block if max_block < block else block
 
         # --- disk queue ------------------------------------------------------
         demand = misses * (block / base_block) / 1000.0
-        queue = max(0.0, queue_keep * queue_len + queue_gain * (demand - service))
+        queue = queue_keep * queue_len + queue_gain * (demand - service)
+        queue = queue if queue > 0.0 else 0.0
 
         # --- cache, stale pool, reclaim --------------------------------------
-        damp = max(0.0, 1.0 - used)
+        damp = 1.0 - used
+        damp = damp if damp > 0.0 else 0.0
         # backlog data is parked in memory whether or not memory is tight; only
         # fresh read-ahead growth is throttled by free memory
         growth = misses * growth_per_miss * damp + backlog_gain * queue_len
@@ -669,29 +685,34 @@ def _advance(state, load, cfg, policy, ticks, rng):
         stale_gen = stale_churn * live_mb * tick_activity
         turnover = turnover_rate * live_mb * tick_activity
 
-        sfr = max(0.0, sfr_mb + stale_gen - reclaim_stale)
-        live = max(0.0, live_mb + growth - stale_gen - turnover - reclaim_live)
+        sfr = sfr_mb + stale_gen - reclaim_stale
+        sfr = sfr if sfr > 0.0 else 0.0
+        live = live_mb + growth - stale_gen - turnover - reclaim_live
+        live = live if live > 0.0 else 0.0
         cache = sfr + live
 
         # --- working set beyond the cache --------------------------------------
         heap = working_set_mb - baseline - cache_mb
-        heap = max(0.0, heap + heap_growth * queue_len * damp - heap_decay * heap)
+        heap = heap + heap_growth * queue_len * damp - heap_decay * heap
+        heap = heap if heap > 0.0 else 0.0
         working = baseline + cache + heap
         # backlog parking and heap growth are not throttled by free memory, so
         # a large backlog_cache_gain or queue_gain reaches this clamp
         if working > total:
             overflow = working - total
-            shaved = min(heap, overflow)
+            shaved = overflow if overflow < heap else heap
             heap -= shaved
             overflow -= shaved
             if overflow > 0.0:
-                live = max(0.0, live - overflow)
+                live = live - overflow
+                live = live if live > 0.0 else 0.0
                 cache = sfr + live
-            working = min(baseline + cache + heap, total)
+            working = baseline + cache + heap
+            working = total if total < working else working
 
         # --- observable bandwidth and the trailing trigger average ------------
         used = working / total
-        m = min(used, 0.995)
+        m = 0.995 if 0.995 < used else used
         pressure = m / (1.0 - m)  # memory_pressure(working, cfg), inlined
         bandwidth = nominal / (1.0 + queue_bw_gain * queue + pressure_bw_gain * pressure)
         bw_avg += (bandwidth - bw_avg) / window
@@ -756,9 +777,10 @@ def trace_csv(states):
     """Render a Trace, or a sequence of SimStates, as CSV text with the pinned header."""
     lines = [",".join(TRACE_HEADER)]
     for tick, cache, working, queue, block, bandwidth, sfr, _ in _rows(states):
+        # format_float inlined: the shortest round-trip repr of each value as a float
         lines.append(
-            f"{tick},{format_float(cache)},{format_float(working)},{format_float(queue)},"
-            f"{format_float(block)},{format_float(bandwidth)},{format_float(sfr)}"
+            f"{tick},{float(cache)!r},{float(working)!r},{float(queue)!r},"
+            f"{float(block)!r},{float(bandwidth)!r},{float(sfr)!r}"
         )
     return "\n".join(lines) + "\n"
 

@@ -37,6 +37,7 @@ from agekit.simulator import (
     validate_workload,
     write_trace,
 )
+from agekit.timeseries import format_float
 
 STABLE_LOAD = "600,0,20,20,1000,0"
 AGING_LOAD = "600,0,100,20,1000,0"
@@ -858,6 +859,24 @@ class TestTickKernel:
         for s in states:
             s.validate(cfg)
 
+    @pytest.mark.parametrize(
+        "backlog_gain, digest",
+        [
+            (0.01, "b704e63737d7c9606c0c864ab26a984185726b24dcc8c69a8166372c54040b49"),
+            (0.02, "a424c7826f06c7148fa4fc7a1fbd7228b60bfa1a52dd520119539f696e9dcf49"),
+        ],
+    )
+    def test_clamped_traces_match_pinned_digests(self, backlog_gain, digest):
+        # sha256 of trace_csv, computed at commit 437bbc0, whose kernel clamped
+        # with builtin min and max. At gain 0.01, 863 rows sit at the total
+        # memory clamp and the heap absorbs every overflow; at 0.02, 2 852 rows
+        # do, and on 2 571 of them, from tick 1430 on, the overflow empties the
+        # heap and shaves the live cache. Together they hold the overflow
+        # branches to those bytes.
+        cfg = SimConfig(backlog_cache_gain=backlog_gain)
+        text = trace_csv(run(cfg, parse_workload(AGING_LOAD), ticks=4000, seed=0))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_states_follow_the_public_laws_bit_for_bit(self):
         # the kernel inlines bandwidth_for, read_latency and aging_level for speed
         cfg = SimConfig()
@@ -1053,6 +1072,28 @@ class TestTraceIO:
         )
         states = run(SimConfig(), parse_workload(STABLE_LOAD), ticks=2)
         assert trace_csv(states).splitlines()[0] == ",".join(TRACE_HEADER)
+
+    def test_cells_are_format_float_text(self):
+        def format_float_csv(states):
+            lines = [",".join(TRACE_HEADER)]
+            for s in states:
+                cells = (format_float(getattr(s, name)) for name in TRACE_HEADER[1:])
+                lines.append(",".join((str(s.tick), *cells)))
+            return "\n".join(lines) + "\n"
+
+        # int-valued config fields reach the trace as ints and are written as floats
+        cfg = SimConfig(base_block_kb=64, max_block_kb=512, initial_cache_mb=100)
+        trace = run(cfg, parse_workload(AGING_LOAD), ticks=50)
+        assert trace_csv(trace) == format_float_csv(trace)
+        assert trace_csv(trace).splitlines()[1] == "0,100.0,620.0,0.0,64.0,111.36890951276104,0.0"
+        # numpy scalars are written as the floats they hold, never as their reprs
+        states = [
+            SimState(s.tick, *map(np.float64, dataclasses.astuple(s)[1:-1]), s.bw_avg_kbyte)
+            for s in trace
+        ]
+        states[-1] = dataclasses.replace(states[-1], block_kb=np.float32(64.0))
+        assert trace_csv(states) == format_float_csv(states)
+        assert trace_csv(states) == trace_csv(trace)
 
     def test_round_trip_is_exact(self, tmp_path):
         cfg = SimConfig()
