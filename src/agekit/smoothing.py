@@ -19,14 +19,21 @@ every special case.
 
 On a uniform grid the first pass shares weights between rows. The interior
 windows share one symmetric tricube kernel, which puts each local line's
-value at the kernel-weighted mean of the values: one convolution. A left-edge
-row and its mirror on the right share one row of tricube weights, so one
-block gives both bands' moments; the pairing is read off the computed windows.
+value at the kernel-weighted mean of the values: one convolution, taken as a
+product of real FFTs. A left-edge row and its mirror on the right share one
+row of tricube weights, so one block gives both bands' moments; the pairing
+is read off the computed windows. On either side of its row and inside its
+radius the tricube is a degree-9 polynomial in the index, so a band row
+weighs the block's columns a chunk at a time through each chunk's ten power
+sums, and point by point only in the chunk holding the row and the one
+holding its last weighted point; that costs about sqrt(width) columns per
+row instead of width.
 """
 
 import math
 
 import numpy as np
+import numpy.fft  # loaded lazily by numpy; imported here so the first call does not pay for it
 
 from .errors import DomainError, _is_integral, _is_real, _shown
 from .timeseries import MetricSeries, _as_readonly_float_array
@@ -250,6 +257,23 @@ def _mirrored_rows(pending, lo, hi):
     return left[mirrored]
 
 
+def _tricube_taylor():
+    """Taylor table of the tricube (1 - w^3)^3 about a point e.
+
+    (1 - w^3)^3 = sum_q a_q w^q with a_0, a_3, a_6, a_9 = 1, -3, 3, -1, and
+    w^q = sum_p C(q, p) e^(q-p) (w - e)^p, so table[q - p, p] = a_q C(q, p).
+    """
+    table = np.zeros((10, 10))
+    for m in range(4):
+        q = 3 * m
+        for p in range(q + 1):
+            table[q - p, p] = (-1) ** m * math.comb(3, m) * math.comb(q, p)
+    return table
+
+
+_TRICUBE_TAYLOR = _tricube_taylor()
+
+
 def _band_lines(values, left, lo, hi):
     """Fits of the mirrored rows left and n-1-left from one tricube block.
 
@@ -257,29 +281,108 @@ def _band_lines(values, left, lo, hi):
     distance of its window's farthest point, over the union [0, width) of the
     windows; the right band is the same block applied to the reversed series.
     Moments are taken about the block's centre. Returns (value, ok) per side.
+
+    The columns come in chunks. On one side of i and inside its radius the
+    tricube is a degree-9 polynomial in j, so a chunk there contributes
+    through its ten power sums about its centre, shifted to row i; only the
+    chunk holding i and the one holding i + r_i are weighed point by point.
     """
     width = int(hi[left].max())
     radius = np.maximum(left - lo[left], hi[left] - 1 - left)
+    chunk = _chunk_length(width)
+    chunks = -(-width // chunk)
     x = np.arange(width) - (width - 1) / 2
+    columns = np.zeros((chunks * chunk, 7))  # the last chunk padded with zeros
     y = values[:width]
     y_rev = values[::-1][:width]
-    columns = np.column_stack([np.ones(width), x, x * x, y, x * y, y_rev, x * y_rev])
+    for c, column in enumerate((1.0, x, x * x, y, x * y, y_rev, x * y_rev)):
+        columns[:width, c] = column
 
-    sums = np.empty((len(left), columns.shape[1]))
+    sums = np.zeros((len(left), 7))
     x0 = left - (width - 1) / 2
     inverse = 1.0 / radius
-    step = max(1, BLOCK_ELEMENTS // width)
-    for start in range(0, len(left), step):
-        w = np.subtract.outer(x0[start : start + step], x)  # exactly i - j
-        np.abs(w, out=w)
-        w *= inverse[start : start + step, None]
-        np.minimum(w, 1.0, out=w)  # past the radius the weight is 0
-        sums[start : start + step] = _tricube(w) @ columns
+    own = left // chunk  # the chunk holding i, and the one holding its last weighted point
+    last = np.minimum(left + radius, width - 1) // chunk
+    if chunks > 1:
+        # power_sums[p, k] = sum over chunk k of u^p * columns, u = (j - centre) / half
+        half = (chunk - 1) / 2
+        u = (np.arange(chunk) - half) / half
+        power_sums = np.matmul(_powers(u), columns.reshape(chunks, chunk, 7))
+        power_sums = np.ascontiguousarray(power_sums.transpose(1, 0, 2))
+        centres = np.arange(chunks) * chunk + half
+        k = np.arange(chunks)
+        step = max(1, BLOCK_ELEMENTS // (10 * chunks))
+        for start in range(0, len(left), step):
+            rows = slice(start, start + step)
+            # |j - i| / r = e + side * (half / r) * u with e = |centre - i| / r, so
+            # a chunk's weights are sum_p c_p(e) (side * half / r)^p u^p
+            e = np.subtract(centres, left[rows, None]) * inverse[rows, None]
+            side = np.sign(e)
+            np.abs(e, out=e)
+            inside = (k < last[rows, None]) & (k != own[rows, None])
+            coef = _TRICUBE_TAYLOR.T @ _powers(e).reshape(10, -1)
+            coef[0::2] *= inside.ravel()
+            coef[1::2] *= (side * inside).ravel()
+            part = np.matmul(coef.reshape(10, -1, chunks), power_sums)
+            part *= _powers(half * inverse[rows])[:, :, None]
+            sums[rows] = part.sum(axis=0)
+
+    # the two chunks weighed point by point, taken one chunk at a time
+    far = np.flatnonzero(last != own)
+    direct_rows = np.concatenate([np.arange(len(left)), far])
+    direct_chunks = np.concatenate([own, last[far]])
+    order = np.argsort(direct_chunks, kind="stable")
+    step = max(1, BLOCK_ELEMENTS // chunk)
+    for group in np.split(order, np.flatnonzero(np.diff(direct_chunks[order])) + 1):
+        first = direct_chunks[group[0]] * chunk
+        cols = slice(first, min(first + chunk, width))
+        for start in range(0, len(group), step):
+            rows = direct_rows[group[start : start + step]]
+            w = np.subtract.outer(x0[rows], x[cols])  # exactly i - j
+            np.abs(w, out=w)
+            w *= inverse[rows, None]
+            np.minimum(w, 1.0, out=w)  # past the radius the weight is 0
+            sums[rows] += _tricube(w) @ columns[cols]
     s0, s1, s2, sy, sxy, sy_rev, sxy_rev = sums.T
     return (
         _line_at(s0, s1, s2, sy, sxy, x0, radius),
         _line_at(s0, s1, s2, sy_rev, sxy_rev, x0, radius),
     )
+
+
+def _powers(base):
+    """base^0 .. base^9 along a new first axis."""
+    out = np.empty((10,) + base.shape)
+    out[0] = 1.0
+    out[1] = base
+    for p in range(2, 10):
+        np.multiply(out[p - 1], base, out=out[p])
+    return out
+
+
+def _chunk_length(width):
+    """Columns per chunk of _band_lines' block of width columns.
+
+    A row's direct work grows with the chunk and its power-sum work with the
+    number of chunks, so the chunk is about sqrt(8 * width); under 8 chunks
+    the power sums do not pay for themselves and one chunk spans the block.
+    """
+    chunk = math.ceil(math.sqrt(8 * width))
+    return chunk if width >= 8 * chunk else width
+
+
+def _kernel_means(values, half):
+    """Tricube-weighted mean of each full window [i - half, i + half], i from half to n - half - 1."""
+    n = len(values)
+    u = np.abs(np.arange(-half, half + 1)) / half
+    # ** 3 keeps outputs: _tricube's c*c*c differs in 1 194 of 4 801 weights at half 2 400
+    kernel = (1.0 - u * u * u) ** 3
+    size = 1 << (n - 1).bit_length()  # the wrap-around stays in the 2 * half dropped outputs
+    spectrum = np.fft.rfft(values, size)
+    spectrum *= np.fft.rfft(kernel, size)
+    means = np.fft.irfft(spectrum, size)[2 * half : n]
+    means /= kernel.sum()
+    return means
 
 
 def _fit_shared_rows(values, fit, lo, hi, half, smoothed):
@@ -293,11 +396,7 @@ def _fit_shared_rows(values, fit, lo, hi, half, smoothed):
         (fit >= half) & (fit < n - half) & (lo[fit] >= fit - half) & (hi[fit] <= fit + half + 1)
     ]
     if len(interior):
-        u = np.abs(np.arange(-half, half + 1)) / half
-        # ** 3 keeps outputs: _tricube's c*c*c differs in 1 194 of 4 801 weights at half 2 400
-        kernel = (1.0 - u * u * u) ** 3
-        means = np.convolve(values, kernel, "valid") / kernel.sum()
-        smoothed[interior] = means[interior - half]
+        smoothed[interior] = _kernel_means(values, half)[interior - half]
         pending[interior] = False
     left = _mirrored_rows(pending, lo, hi)
     if len(left):

@@ -251,7 +251,9 @@ def _render_panel(panel, top, width, height, parts):
             column = np.clip(np.floor(xs - plot_left), 0, columns - 1)
             keep = _m4_indices(column, series.y)
             xs, ys = xs[keep], ys[keep]
-        points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+        # one % over the interleaved coordinates, not one format call per point
+        coordinates = np.column_stack((xs, ys)).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coordinates)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"{dash}/>'

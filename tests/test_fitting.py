@@ -405,15 +405,15 @@ PINNED_RESULTS = {
         (),
     ),
     "aging_curve": (
-        ("0x1.945458855de64p-5", "0x1.cdb30c6d2dda0p-3", "0x1.197e42ab7cf01p-1"),
+        ("0x1.945458855de56p-5", "0x1.cdb30c6d2dd81p-3", "0x1.197e42ab7cf2ep-1"),
         9,
         (
-            "0x1.046fff74ad096p+1", "0x1.8d1858a0c4678p+0", "0x1.800f9309895d7p+0",
-            "0x1.79ae05efbab77p+0", "0x1.79adb6a58fc16p+0", "0x1.79adb4ce7d83fp+0",
-            "0x1.79adb4c2ad773p+0", "0x1.79adb4c26139cp+0", "0x1.79adb4c25f4d8p+0",
-            "0x1.79adb4c25f40ep+0",
+            "0x1.046fff74ad0dap+1", "0x1.8d1858a0c469cp+0", "0x1.800f9309896efp+0",
+            "0x1.79ae05efbaba0p+0", "0x1.79adb6a58fc3cp+0", "0x1.79adb4ce7d86ap+0",
+            "0x1.79adb4c2ad7a0p+0", "0x1.79adb4c2613c5p+0", "0x1.79adb4c25f502p+0",
+            "0x1.79adb4c25f43ep+0",
         ),
-        "0x1.b6e60a894ece8p-30",
+        "0x1.b6e5fff625e1dp-30",
         (),
     ),
 }

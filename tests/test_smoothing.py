@@ -500,6 +500,80 @@ class TestSharedWeights:
             assert posed.tolist() == [ok]
 
 
+def chunked_band_fit(monkeypatch, t, values, fraction):
+    """lowess_values' first pass, the rows it handed to _fit_rows and the band's chunk count."""
+    chunks = []
+    chunk_length = smoothing._chunk_length
+
+    def recording(width):
+        chunk = chunk_length(width)
+        chunks.append(-(-width // chunk))
+        return chunk
+
+    monkeypatch.setattr(smoothing, "_chunk_length", recording)
+    ours, handed = fitted_by_rows(monkeypatch, t, values, fraction, 0)
+    assert len(chunks) == 1
+    return ours, handed[0], chunks[0]
+
+
+class TestChunkedBands:
+    """Edge bands weighed through chunk power sums match the per-row centred fit.
+
+    From 8 chunks on (a band 512 points wide) a band row weighs every chunk but
+    its own and the one holding its last weighted point through the chunk's
+    power sums; here most rows have such chunks on both sides.
+    """
+
+    @pytest.mark.parametrize(
+        "grid,n,fraction",
+        [
+            ("ticks", 3000, 1.0),
+            ("ticks", 3700, 0.55),
+            ("offset", 4500, 0.3),
+            ("ticks", 6000, 0.1),
+            # window 1 200 on exact distances: the windows of rows 600 to 3 399
+            # tie at d_max and hold 1 201 points, up to the bands' edges
+            ("arange", 4000, 0.3),
+        ],
+    )
+    def test_bands_match_row_by_row_fit(self, monkeypatch, grid, n, fraction):
+        rng = np.random.default_rng(n)
+        t = {"ticks": np.arange(n) * 15 / 3600, "offset": 37.5 + np.arange(n) * 15 / 3600}.get(
+            grid, np.arange(n, dtype=float)
+        )
+        v = np.cumsum(rng.normal(0.0, 1.0, n)) + 0.01 * np.arange(n)
+        ours, handed, chunks = chunked_band_fit(monkeypatch, t, v, fraction)
+        half = math.ceil(fraction * n) // 2
+        assert chunks >= 8
+        assert not handed & (set(range(half)) | set(range(n - half, n)))
+        expected = row_by_row_passes(t, v, fraction, 0)[-1]
+        assert np.max(np.abs(ours - expected)) <= 1e-12 * np.ptp(v)
+
+    def test_rows_whose_mirrors_differ_leave_gaps_in_the_band(self, monkeypatch):
+        # the mirrors of rows 0, 400 and 401 get windows that do not mirror
+        # theirs, so those pairs go to _fit_rows and the band rows around them
+        # keep their chunks
+        n = 3500
+        skewed_rows = (n - 1, n - 401, n - 402)
+        windows = smoothing._windows
+
+        def skewed(t, window):
+            lo, hi, d_max = windows(t, window)
+            lo[list(skewed_rows)] -= 1
+            return lo, hi, d_max
+
+        monkeypatch.setattr(smoothing, "_windows", skewed)
+        rng = np.random.default_rng(25)
+        t = np.arange(n) * 15 / 3600
+        v = np.sin(t) + rng.normal(0.0, 0.3, n)
+        ours, handed, chunks = chunked_band_fit(monkeypatch, t, v, 0.4)
+        assert chunks >= 8
+        paired = {0, 400, 401, *skewed_rows}
+        assert handed & set(range(700)) == {0, 400, 401} and paired <= handed
+        expected = row_by_row_passes(t, v, 0.4, 0)[-1]
+        assert np.max(np.abs(ours - expected)) <= 1e-12 * np.ptp(v)
+
+
 class TestEquivariance:
     def test_translation(self):
         t, v = noisy_series(80, seed=5)
