@@ -7,6 +7,10 @@ Every command is deterministic given its flags (simulation randomness is
 seeded). Exit codes are a stable contract: 0 success, 2 input or parse
 error, 3 domain or invariant error; one ``except`` arm in ``main`` maps
 them. Diagnostics go to stderr; outputs are written atomically.
+
+A multi-input ``fit`` reads every input, then smooths every series, then
+fits every curve. The first failing input in argument order still decides
+the error, after the inputs before it are fitted and warned for.
 """
 
 import argparse
@@ -107,16 +111,42 @@ def _fit_and_write(args, curves):
     return 0
 
 
+def _map_until_failure(func, items, failure=None):
+    """(results, failure): func over items in order until one raises, and that exception.
+
+    A stage runs only over the inputs before the previous stage's failure, so
+    an exception here belongs to an earlier input and replaces ``failure``.
+    """
+    results = []
+    for item in items:
+        try:
+            results.append(func(item))
+        except Exception as exc:  # raised again once every earlier input is fitted
+            return results, exc
+    return results, failure
+
+
+def _raise_after(curves, failure):
+    """Yield the curves, then raise ``failure`` if there is one."""
+    yield from curves
+    if failure is not None:
+        raise failure
+
+
 def cmd_fit(parser, args):
     orientation = Orientation(args.orientation)
     if args.svg is not None and len(args.inputs) != 1:
         raise ParseError("--svg requires exactly one input file")
-
-    def curve(path):
-        series = load_series(path, _series_name(path), orientation)
-        return to_aging_curve(rescale_time(series, args.time_scale))
-
-    return _fit_and_write(args, (curve(path) for path in args.inputs))
+    series, failure = _map_until_failure(
+        lambda path: load_series(path, _series_name(path), orientation), args.inputs
+    )
+    curves, failure = _map_until_failure(
+        lambda raw: to_aging_curve(rescale_time(raw, args.time_scale)), series, failure
+    )
+    del series  # the fit stage reads only the curves
+    # the fits of the inputs before the first failure warn as they would one
+    # input at a time; the failure then leaves before any report is written
+    return _fit_and_write(args, _raise_after(curves, failure))
 
 
 def _build_policy(parser, args):

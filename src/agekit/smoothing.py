@@ -327,17 +327,25 @@ def _band_lines(values, left, lo, hi):
             part *= _powers(half * inverse[rows])[:, :, None]
             sums[rows] = part.sum(axis=0)
 
-    # the two chunks weighed point by point, taken one chunk at a time
+    # the two chunks weighed point by point, one chunk at a time, each row's
+    # own chunk before its last: the rows ascend, so each own chunk's rows
+    # are a run of them; the rows whose last chunk is k are gathered by sort
+    own_at = np.searchsorted(own, np.arange(chunks + 1))
     far = np.flatnonzero(last != own)
-    direct_rows = np.concatenate([np.arange(len(left)), far])
-    direct_chunks = np.concatenate([own, last[far]])
-    order = np.argsort(direct_chunks, kind="stable")
+    far = far[np.argsort(last[far], kind="stable")]
+    far_at = np.searchsorted(last[far], np.arange(chunks + 1))
     step = max(1, BLOCK_ELEMENTS // chunk)
-    for group in np.split(order, np.flatnonzero(np.diff(direct_chunks[order])) + 1):
-        first = direct_chunks[group[0]] * chunk
-        cols = slice(first, min(first + chunk, width))
-        for start in range(0, len(group), step):
-            rows = direct_rows[group[start : start + step]]
+    for k in range(chunks):
+        cols = slice(k * chunk, min((k + 1) * chunk, width))
+        own_blocks = [
+            slice(start, min(start + step, own_at[k + 1]))
+            for start in range(own_at[k], own_at[k + 1], step)
+        ]
+        far_blocks = [
+            far[start : min(start + step, far_at[k + 1])]
+            for start in range(far_at[k], far_at[k + 1], step)
+        ]
+        for rows in own_blocks + far_blocks:
             w = np.subtract.outer(x0[rows], x[cols])  # exactly i - j
             np.abs(w, out=w)
             w *= inverse[rows, None]

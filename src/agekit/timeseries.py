@@ -6,7 +6,9 @@ Files are two-column CSV with the exact header ``t,value``, UTF-8, LF or CRLF.
 The numeric CSV reader here also reads simulator traces. numpy's parser reads
 a file first, from the open handle; the checking ``csv`` loop, the only source
 of messages, re-reads any file it cannot: a padded or quoted header or cell,
-``1_000``, a non-ASCII digit, a whitespace-only, short or non-finite row.
+``1_000``, a non-ASCII digit, a whitespace-only, short or non-finite row. It
+also re-reads a file that may hold a cell past the csv module's field limit,
+so such a cell fails to load on both paths.
 """
 
 import contextlib
@@ -132,15 +134,48 @@ def _open_text(path):
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _may_hold_long_cell(handle):
+    """Whether the file may hold a cell longer than the csv module's field limit.
+
+    Bytes bound characters, so a file within the limit holds no such cell.
+    In a longer one, a run of more than ``limit`` bytes without a separator
+    covers an offset limit + m * (limit + 1), so only the runs through those
+    offsets are measured, each to at most ``limit`` + 1 bytes on either side.
+    """
+    limit = csv.field_size_limit()
+    if os.fstat(handle.fileno()).st_size <= limit:
+        return False
+    handle.seek(0)
+    data = handle.buffer.read()
+    for at in range(limit, len(data), limit + 1):
+        # the nearest separator on each side, each search within the nearest found so far
+        before, after = at - limit - 1, min(at + limit + 1, len(data))
+        for sep in b",\n\r":
+            before = max(before, data.rfind(sep, before + 1, at))
+            found = data.find(sep, at, after)
+            if found >= 0:
+                after = found
+        if after - before - 1 > limit:
+            return True
+    return False
+
+
 def _numpy_table(handle, header):
     """numpy's (rows, columns) parse of a file headed by ``header``; else None, rewound for csv."""
-    # on a ValueError (a cell numpy rejects, a ragged row, a bad byte) the csv loop reads it
+    # on a ValueError (a cell numpy rejects, a ragged row, a bad byte) the csv loop reads
+    # it; so it does a file where a cell may pass the csv module's field limit, which
+    # only the csv loop decides
     with contextlib.suppress(ValueError), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # header only: csv says "no data rows"
         line = next((line for line in handle if line.replace(",", "").strip()), "")
         if tuple(cell.strip() for cell in line.split(",")) == header:
             table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2, dtype=float)
-            if table.shape[1] == len(header) and len(table) and np.isfinite(table).all():
+            if (
+                table.shape[1] == len(header)
+                and len(table)
+                and np.isfinite(table).all()
+                and not _may_hold_long_cell(handle)
+            ):
                 return table
     handle.seek(0)
 

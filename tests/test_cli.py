@@ -324,6 +324,35 @@ class TestFit:
         assert capsys.readouterr().err == ""
         assert [row["beta"] for row in read_report(out)] == pytest.approx([1.0] * 3, rel=1e-9)
 
+    def test_a_later_input_fails_after_the_earlier_fits_warned(self, tmp_path, capsys, monkeypatch):
+        capped = functools.partial(fitting.levenberg_marquardt, max_iterations=1)
+        monkeypatch.setattr(fitting, "levenberg_marquardt", capped)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        self.make_model_series(first, FeedbackLoopModel(0.3, 0.05, 1.2))
+        second.write_text("t,value\n0,1.5\n15,x\n30,2.5\n")
+        out = tmp_path / "report.csv"
+        argv = ["fit", str(first), str(second), "--orientation", "higher-is-worse", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "warning: first: fit did not converge (converged=false)\n"
+            f"agekit: error: {second}: row 3: field value is not numeric: 'x'\n"
+        )
+        assert not out.exists()
+
+    def test_the_first_failing_input_decides_the_error(self, tmp_path, capsys):
+        # the constant first input fails in normalization, after the third
+        # input, which is missing, would fail to load
+        flat, good = tmp_path / "flat.csv", tmp_path / "good.csv"
+        write_series_csv(flat, np.arange(40) * 60.0, np.full(40, 5.0))
+        self.make_model_series(good, FeedbackLoopModel(0.3, 0.05, 1.2))
+        paths = [str(flat), str(good), str(tmp_path / "absent.csv")]
+        out = tmp_path / "report.csv"
+        assert main(["fit", *paths, "--orientation", "higher-is-worse", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "agekit: error: degenerate series: constant values carry no aging trend\n"
+        )
+        assert not out.exists()
+
     def test_time_scale_flag(self, tmp_path):
         # same curve written directly in hours fits with --time-scale 1
         record = FeedbackLoopModel(0.3, 0.05, 1.2)

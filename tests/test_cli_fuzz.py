@@ -128,7 +128,7 @@ def invocations(draw):
         argv = ["smooth", "@in.csv", "@out.csv"]
         argv += draw(optional("--fraction", reals)) + draw(optional("--iterations", counts))
     elif command == "fit":
-        names = draw(st.sampled_from([["a.csv"], ["a.csv", "b.csv"]]))
+        names = ["a.csv", "b.csv", "c.csv"][: draw(st.integers(min_value=1, max_value=3))]
         for name in names:
             files[name] = draw(series_text)
         orientation = draw(mostly(st.sampled_from(["higher-is-worse", "lower-is-worse"]), "up"))

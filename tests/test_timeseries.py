@@ -1,5 +1,6 @@
 """Series ingestion, validation, rescaling, and CSV round trips."""
 
+import csv
 import math
 import os
 import stat
@@ -244,6 +245,54 @@ class TestNumpyFirstReader:
         assert isinstance(calls[0], np.ndarray) and isinstance(calls[1], ValueError)
         for a, b in zip(fast, fallback):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    @pytest.mark.parametrize("rows_before", [0, 30_000])  # the cell past the first check offset
+    def test_a_cell_past_the_csv_field_limit_reads_alike_on_both_paths(
+        self, tmp_path, monkeypatch, excess, rows_before
+    ):
+        limit = csv.field_size_limit()
+        cell = b" " * (limit - 3 + excess) + b"1.5"  # limit + excess characters
+        head = b"t,value\n" + b"".join(b"%d,0\n" % i for i in range(rows_before))
+        row = b"%d,%s\n" % (rows_before, cell)
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(head + row + b"1e9,2.5\n")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(head + row + b'1e9,"2.5"\n')
+        calls = spy_on_loadtxt(monkeypatch)
+
+        def read(path, reader):
+            try:
+                return [column.tobytes() for column in reader(str(path), CSV_HEADER)]
+            except ParseError as exc:
+                return str(exc).replace(str(path), "<path>")
+
+        fast, fallback = read(plain, _read_columns), read(quoted, _read_columns)
+        # numpy parses the plain file whether or not its cell passes the limit
+        assert isinstance(calls[0], np.ndarray) and isinstance(calls[1], ValueError)
+        assert fast == fallback == read(plain, read_columns) == read(quoted, read_columns)
+        if excess:
+            assert fast == f"<path>: field larger than field limit ({limit})"
+        else:
+            t = np.append(np.arange(rows_before + 1.0), 1e9)
+            values = np.append(np.zeros(rows_before), [1.5, 2.5])
+            assert fast == [t.tobytes(), values.tobytes()]
+        assert csv.field_size_limit() == limit
+
+    def test_the_long_cell_check_finds_a_run_past_the_limit_at_any_offset(
+        self, tmp_path, monkeypatch
+    ):
+        # a limit of 8 read through the csv module's accessor; the module's own limit stays
+        monkeypatch.setattr(timeseries.csv, "field_size_limit", lambda: 8)
+        path = tmp_path / "runs.bin"
+        for length in (8, 9):
+            for offset in range(40):
+                data = bytearray(b",\r\n" * 20)
+                data[offset : offset + length] = b"x" * length
+                data[offset + length + 2 : offset + length + 6] = b"7.25"  # a shorter run beside it
+                path.write_bytes(bytes(data))
+                with timeseries._open_text(str(path)) as handle:
+                    assert timeseries._may_hold_long_cell(handle) == (length > 8)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
     def test_a_pipe_is_read_once_by_the_csv_loop(self, tmp_path):
