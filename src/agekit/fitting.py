@@ -229,7 +229,13 @@ class FitReport:
 
 def _initial_guess(t, y):
     """Start (K, alpha, beta): least squares on ln y = ln K + alpha*t + beta*ln t with
-    each row weighted by y, over the samples above Y_FLOOR, clipped to the bounds."""
+    each row weighted by y, over the samples above Y_FLOOR, clipped to the bounds.
+
+    Where the clipped start's SSR or Gram matrix overflows, so that the solver
+    could take no step from it (alpha clipped to 0 can leave beta near 100),
+    the least squares is solved again with each clipped parameter held at its
+    bound, and the free ones clipped once more.
+    """
     usable = y > Y_FLOOR
     count = int(usable.sum())
     if count == 0:
@@ -242,9 +248,21 @@ def _initial_guess(t, y):
         )
     tm, ym = t[usable], y[usable]
     design = np.column_stack((ym, ym * tm, ym * np.log(tm)))
-    coef, *_ = np.linalg.lstsq(design, ym * np.log(ym), rcond=None)
-    k0 = math.exp(min(max(float(coef[0]), math.log(K_MIN)), LOG_FLOAT_MAX))
-    return np.array([k0, max(float(coef[1]), 0.0), max(float(coef[2]), 0.0)])
+    target = ym * np.log(ym)
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    bounds = ((math.log(K_MIN), 0.0, 0.0), (LOG_FLOAT_MAX, math.inf, math.inf))
+    start = np.clip(coef, *bounds)  # ln K, alpha, beta
+    held = start != coef
+    if 0 < held.sum() < 3:
+        jac = np.empty((len(t), 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _model_and_jacobian((math.exp(start[0]), *start[1:]), t, np.log(t), jac)
+            overflows = not math.isfinite(np.sum((y - f) ** 2) + np.sum(jac * jac))
+        if overflows:
+            shifted = target - design[:, held] @ start[held]
+            start[~held] = np.linalg.lstsq(design[:, ~held], shifted, rcond=None)[0]
+            start = np.clip(start, *bounds)
+    return np.array([math.exp(start[0]), start[1], start[2]])
 
 
 def fit(curve):

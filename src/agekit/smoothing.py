@@ -6,28 +6,24 @@ boundary distance is included), weighted by the tricube kernel on d/d_max.
 
 Evaluation is batched. The samples are sorted by t once (results are
 scattered back to the caller's order), which makes every window a contiguous
-run [lo, hi). The bounds of all windows are guessed, the window's start from
-sums of sorted t and its ends from the block its radius came from, and each
-guess is checked on the same computed distances the definition uses; a row
-whose guess fails is found by bisection. So boundary ties are decided exactly
-as a full scan would decide them. Every line is read off moments, taken a
-block of consecutive rows at a time: one weight matrix over the union of the
-block's windows times the columns [1, x, x^2, y, x*y], under a fixed element
-budget. The lines of all rows are then read at once, and a row whose moments
-are ill posed is refitted on its own by a centred second pass, which holds
-every special case.
+run [lo, hi). The bounds of all windows are guessed, and each guess is
+checked on the same computed distances the definition uses; a row whose
+guess fails is found by bisection, so boundary ties are decided exactly as a
+full scan would decide them. One kernel, _lines, reads every line off the
+moments of [1, x, x^2, y, x*y], a block of consecutive rows at a time under a
+fixed element budget. A wide window is cut into chunks of about
+sqrt(8 * window) points; on one side of a row and inside its radius the
+tricube is a degree-9 polynomial in t, so such a chunk enters through its ten
+power sums, and only the chunks holding the rows or their windows' ends are
+weighed point by point. A row whose moments are ill posed is refitted on its
+own by a centred second pass, which holds every special case.
 
 On a uniform grid the first pass shares weights between rows. The interior
 windows share one symmetric tricube kernel, which puts each local line's
 value at the kernel-weighted mean of the values: one convolution, taken as a
 product of real FFTs. A left-edge row and its mirror on the right share one
-row of tricube weights, so one block gives both bands' moments; the pairing
-is read off the computed windows. On either side of its row and inside its
-radius the tricube is a degree-9 polynomial in the index, so a band row
-weighs the block's columns a chunk at a time through each chunk's ten power
-sums, and point by point only in the chunk holding the row and the one
-holding its last weighted point; that costs about sqrt(width) columns per
-row instead of width.
+row of tricube weights, so the kernel takes both bands at once, the reversed
+values as two more columns; the pairing is read off the computed windows.
 """
 
 import math
@@ -63,11 +59,11 @@ def _first_true(pred, lo, hi, last, guess):
     """Per row, the smallest k in [lo, hi) with pred(rows, k), or hi if there is none.
 
     pred maps the rows (an index array, or a slice for all of them) and one
-    candidate index per row to booleans and must be monotone (false, then true) over each row's range; last is the largest
-    index pred accepts. So the answer is the one k with pred(k) (or k = hi) and
-    not pred(k - 1) (or k = lo). A row whose guess, clipped to its range,
-    passes that check keeps it; the other rows bisect, each step halving every
-    range.
+    candidate index per row to booleans, monotone (false, then true) over each
+    row's range; last is the largest index pred accepts. So the answer is the
+    one k with pred(k) (or k = hi) and not pred(k - 1) (or k = lo). A row whose
+    guess, clipped to its range, passes that check keeps it; the other rows
+    bisect, each step halving every range.
     """
     k = np.minimum(np.maximum(guess, lo), hi)
     found = (k == hi) | pred(slice(None), np.minimum(k, last))
@@ -134,16 +130,25 @@ def _is_uniform(t, half):
     return h > 0.0 and deviation <= UNIFORM_TOLERANCE * half * h
 
 
-def _block_ends(rows, lo, hi):
-    """Split rows into runs whose weight matrices fit BLOCK_ELEMENTS."""
+def _block_ends(rows, held, lo, hi, chunk, chunks):
+    """Split rows into runs whose blocks hold at most BLOCK_ELEMENTS: per row, weights on the
+    run's held chunks (at most its union) and ten power-sum coefficients per other chunk."""
     # monotone envelopes bound the union of any run of consecutive rows
     lo_env = np.minimum.accumulate(lo[rows][::-1])[::-1]
     hi_env = np.maximum.accumulate(hi[rows])
+
+    def size(start, end):
+        union = hi_env[end - 1] - lo_env[start]
+        if not held:
+            return union
+        direct = sum(max(0, min(k[end - 1], chunks - 1) - max(k[start], 0) + 1) for k in held)
+        return min(union, direct * chunk) + 10 * max(0, union // chunk - 1)
+
     start = 0
     while start < len(rows):
-        end = min(len(rows), start + max(1, BLOCK_ELEMENTS // (hi_env[start] - lo_env[start])))
+        end = min(len(rows), start + max(1, BLOCK_ELEMENTS // size(start, start + 1)))
         while end - start > 1:
-            cols = hi_env[end - 1] - lo_env[start]
+            cols = size(start, end)
             if (end - start) * cols <= BLOCK_ELEMENTS:
                 break
             end = start + max(1, BLOCK_ELEMENTS // cols)
@@ -165,33 +170,109 @@ def _fit_rows(t, values, rows, lo, hi, d_max, robustness):
     """Local linear fit at each sorted, distinct row from block moments, or by _fit_row."""
     if len(rows) == 0:  # a uniform first pass often leaves none: build no buffer
         return np.empty(0)
-    # 1, x, x^2, y, x*y; x refilled in place: a new matrix per block costs more than its product
-    columns = np.ones((len(t), 5))
-    columns[:, 3] = values
-    moments = np.empty((len(rows), 5))
-    x0 = np.empty(len(rows))  # each row's x, about the centre of its block
-    for start, end in _block_ends(rows, lo, hi):
-        r = rows[start:end]
-        c0 = lo[r].min()
-        c1 = hi[r].max()
-        w = np.subtract(t[c0:c1], t[r, None])
-        np.abs(w, out=w)
-        # clipped at d_max, a point past the window weighs 0 and cannot overflow u
-        np.minimum(w, d_max[r, None], out=w)
-        w /= d_max[r, None]
-        _tricube(w)
-        if robustness is not None:
-            w *= robustness[c0:c1]
-        x = columns[c0:c1, 1]
-        np.subtract(t[c0:c1], t[c0] / 2 + t[c1 - 1] / 2, out=x)
-        np.multiply(x, x, out=columns[c0:c1, 2])
-        np.multiply(x, values[c0:c1], out=columns[c0:c1, 4])
-        np.matmul(w, columns[c0:c1], out=moments[start:end])
-        x0[start:end] = x[r - c0]
-    fitted, ok = _line_at(*moments.T, x0, d_max[rows])
+    ((fitted, ok),) = _lines(t, values[:, None], rows, lo, hi, d_max, robustness)
     for k in np.flatnonzero(~ok):
         fitted[k] = _fit_row(t, values, rows[k], lo, hi, d_max, robustness)
     return fitted
+
+
+def _lines(t, ys, rows, lo, hi, d_max, robustness):
+    """Per column of ys, _line_at's (value, ok) for the local lines at sorted, distinct rows.
+
+    Row i weighs point j by tricube(min(|t_j - t_i|, d_i) / d_i), times its
+    robustness weight on a robust pass; the moments of [1, x, x^2, then y and
+    x*y per column of ys] are taken about the middle of each block's t.
+    """
+    c_lo = lo[rows].min()
+    span = hi[rows].max() - c_lo
+    chunk = _chunk_length(int(np.max(hi[rows] - lo[rows]))) or span
+    chunks = -(-span // chunk)
+    width = 3 + 2 * ys.shape[1]
+    # over the rows' union, padded with zeros to whole chunks; x is refilled in
+    # place: a new matrix per block costs more than its product
+    columns = np.zeros((chunks * chunk, width))
+    columns[:span, 0] = 1.0
+    columns[:span, 3::2] = ys[c_lo : c_lo + span]
+    held = ()  # with one chunk, a block weighs its union point by point
+
+    def x_about(origin, a, b):  # the columns [a, b) with x = t - origin
+        block = columns[a - c_lo : b - c_lo]
+        x = np.subtract(t[a:b], origin, out=block[:, 1])
+        np.multiply(x, x, out=block[:, 2])
+        np.multiply(x[:, None], ys[a:b], out=block[:, 4::2])
+        return block
+
+    if chunks > 1:
+        # sums[k, p] = sum over chunk k of u^p times the columns (and the
+        # robustness weights), x and u = x / half about the chunk's centre
+        starts = c_lo + chunk * np.arange(chunks)
+        ends = np.minimum(starts + chunk, c_lo + span) - 1
+        centres = t[starts] / 2 + t[ends] / 2
+        halves = t[ends] / 2 - t[starts] / 2
+        x_about(np.repeat(centres, chunk)[:span], c_lo, c_lo + span)
+        u = columns[:, 1] / np.repeat(np.where(halves > 0.0, halves, 1.0), chunk)
+        power = np.ones(chunks * chunk)
+        power[:span] = 1.0 if robustness is None else robustness[c_lo : c_lo + span]
+        sums = np.empty((chunks, 10, width))
+        blocks = columns.reshape(chunks, chunk, width)
+        for p in range(10):
+            np.matmul(power.reshape(chunks, 1, chunk), blocks, out=sums[:, p : p + 1])
+            power *= u
+        # held: the chunks holding each row and its window's ends, or the next
+        # chunk where a window holds its end's chunk whole (padding included)
+        first = (lo[rows] - c_lo - 1) // chunk
+        own = (rows - c_lo) // chunk
+        last = (hi[rows] - c_lo + (hi[rows] == c_lo + span) * (chunks * chunk - span)) // chunk
+        held = (first, own, last)
+
+    moments = np.zeros((len(rows), width))
+    x0 = np.empty(len(rows))  # each row's x, about the middle of its block's t
+    for start, end in _block_ends(rows, held, lo, hi, chunk, chunks):
+        r = rows[start:end]
+        c0 = lo[r].min()
+        c1 = hi[r].max()
+        mid = t[c0] / 2 + t[c1 - 1] / 2
+        np.subtract(t[r], mid, out=x0[start:end])
+        # the three ranges of held chunks, merged, are weighed point by point
+        # for every row of the block: past its window a point weighs 0
+        runs = [] if held else [[0, 0]]
+        for a, b in sorted((k[start:end].min(), k[start:end].max()) for k in held):
+            if runs and a <= runs[-1][1] + 1:
+                runs[-1][1] = max(runs[-1][1], b)
+            else:
+                runs.append([a, b])
+        cut = [(max(c0, c_lo + a * chunk), min(c1, c_lo + (b + 1) * chunk)) for a, b in runs]
+        for a, b in [(a, b) for a, b in cut if a < b]:
+            w = np.subtract(t[a:b], t[r, None])
+            np.abs(w, out=w)
+            # clipped at d_max, a point past the window weighs 0 and cannot overflow u
+            np.minimum(w, d_max[r, None], out=w)
+            w /= d_max[r, None]
+            _tricube(w)
+            if robustness is not None:
+                w *= robustness[a:b]
+            moments[start:end] += w @ x_about(mid, a, b)
+        between = [np.arange(b + 1, a) for (_, b), (a, _) in zip(runs, runs[1:])]
+        if sum(map(len, between)):
+            k = np.concatenate(between)
+            # |t_j - t_i| / d_i = e + g u on chunk k, e = |centre - t_i| / d_i and
+            # g = side * half / d_i (k holds no row of the block: one side for all),
+            # so chunk k weighs sum_p c_p(e) g^p u^p
+            scale = np.where(k < own[start], -1.0, 1.0) / d_max[r, None]
+            e = (centres[k] - t[r, None]) * scale
+            coef = (_TRICUBE_TAYLOR.T @ _powers(e).reshape(10, -1)).reshape((10,) + e.shape)
+            inside = (k > first[start:end, None]) & (k < last[start:end, None])
+            coef *= _powers(halves[k] * scale, inside)
+            # the chunks' sums with x moved from each chunk's centre to mid
+            shifted = sums[k]
+            s = (centres[k] - mid)[:, None]
+            shifted[..., 2] += s * (2.0 * shifted[..., 1] + s * shifted[..., 0])
+            shifted[..., 1] += s * shifted[..., 0]
+            shifted[..., 4::2] += s[..., None] * shifted[..., 3::2]
+            moments[start:end] += np.matmul(coef, shifted.transpose(1, 0, 2)).sum(axis=0)
+    s0, s1, s2 = moments.T[:3]
+    pairs = zip(moments.T[3::2], moments.T[4::2])
+    return [_line_at(s0, s1, s2, sy, sxy, x0, d_max[rows]) for sy, sxy in pairs]
 
 
 def _fit_row(t, values, i, lo, hi, d_max, robustness):
@@ -274,109 +355,24 @@ def _tricube_taylor():
 _TRICUBE_TAYLOR = _tricube_taylor()
 
 
-def _band_lines(values, left, lo, hi):
-    """Fits of the mirrored rows left and n-1-left from one tricube block.
-
-    Row i weighs column j by tricube(|j - i| / r_i), r_i being the index
-    distance of its window's farthest point, over the union [0, width) of the
-    windows; the right band is the same block applied to the reversed series.
-    Moments are taken about the block's centre. Returns (value, ok) per side.
-
-    The columns come in chunks. On one side of i and inside its radius the
-    tricube is a degree-9 polynomial in j, so a chunk there contributes
-    through its ten power sums about its centre, shifted to row i; only the
-    chunk holding i and the one holding i + r_i are weighed point by point.
-    """
-    width = int(hi[left].max())
-    radius = np.maximum(left - lo[left], hi[left] - 1 - left)
-    chunk = _chunk_length(width)
-    chunks = -(-width // chunk)
-    x = np.arange(width) - (width - 1) / 2
-    columns = np.zeros((chunks * chunk, 7))  # the last chunk padded with zeros
-    y = values[:width]
-    y_rev = values[::-1][:width]
-    for c, column in enumerate((1.0, x, x * x, y, x * y, y_rev, x * y_rev)):
-        columns[:width, c] = column
-
-    sums = np.zeros((len(left), 7))
-    x0 = left - (width - 1) / 2
-    inverse = 1.0 / radius
-    own = left // chunk  # the chunk holding i, and the one holding its last weighted point
-    last = np.minimum(left + radius, width - 1) // chunk
-    if chunks > 1:
-        # power_sums[p, k] = sum over chunk k of u^p * columns, u = (j - centre) / half
-        half = (chunk - 1) / 2
-        u = (np.arange(chunk) - half) / half
-        power_sums = np.matmul(_powers(u), columns.reshape(chunks, chunk, 7))
-        power_sums = np.ascontiguousarray(power_sums.transpose(1, 0, 2))
-        centres = np.arange(chunks) * chunk + half
-        k = np.arange(chunks)
-        step = max(1, BLOCK_ELEMENTS // (10 * chunks))
-        for start in range(0, len(left), step):
-            rows = slice(start, start + step)
-            # |j - i| / r = e + side * (half / r) * u with e = |centre - i| / r, so
-            # a chunk's weights are sum_p c_p(e) (side * half / r)^p u^p
-            e = np.subtract(centres, left[rows, None]) * inverse[rows, None]
-            side = np.sign(e)
-            np.abs(e, out=e)
-            inside = (k < last[rows, None]) & (k != own[rows, None])
-            coef = _TRICUBE_TAYLOR.T @ _powers(e).reshape(10, -1)
-            coef[0::2] *= inside.ravel()
-            coef[1::2] *= (side * inside).ravel()
-            part = np.matmul(coef.reshape(10, -1, chunks), power_sums)
-            part *= _powers(half * inverse[rows])[:, :, None]
-            sums[rows] = part.sum(axis=0)
-
-    # the two chunks weighed point by point, one chunk at a time, each row's
-    # own chunk before its last: the rows ascend, so each own chunk's rows
-    # are a run of them; the rows whose last chunk is k are gathered by sort
-    own_at = np.searchsorted(own, np.arange(chunks + 1))
-    far = np.flatnonzero(last != own)
-    far = far[np.argsort(last[far], kind="stable")]
-    far_at = np.searchsorted(last[far], np.arange(chunks + 1))
-    step = max(1, BLOCK_ELEMENTS // chunk)
-    for k in range(chunks):
-        cols = slice(k * chunk, min((k + 1) * chunk, width))
-        own_blocks = [
-            slice(start, min(start + step, own_at[k + 1]))
-            for start in range(own_at[k], own_at[k + 1], step)
-        ]
-        far_blocks = [
-            far[start : min(start + step, far_at[k + 1])]
-            for start in range(far_at[k], far_at[k + 1], step)
-        ]
-        for rows in own_blocks + far_blocks:
-            w = np.subtract.outer(x0[rows], x[cols])  # exactly i - j
-            np.abs(w, out=w)
-            w *= inverse[rows, None]
-            np.minimum(w, 1.0, out=w)  # past the radius the weight is 0
-            sums[rows] += _tricube(w) @ columns[cols]
-    s0, s1, s2, sy, sxy, sy_rev, sxy_rev = sums.T
-    return (
-        _line_at(s0, s1, s2, sy, sxy, x0, radius),
-        _line_at(s0, s1, s2, sy_rev, sxy_rev, x0, radius),
-    )
-
-
-def _powers(base):
-    """base^0 .. base^9 along a new first axis."""
+def _powers(base, scale=1.0):
+    """scale * base^0 .. base^9 along a new first axis."""
     out = np.empty((10,) + base.shape)
-    out[0] = 1.0
-    out[1] = base
-    for p in range(2, 10):
+    out[0] = scale
+    for p in range(1, 10):
         np.multiply(out[p - 1], base, out=out[p])
     return out
 
 
 def _chunk_length(width):
-    """Columns per chunk of _band_lines' block of width columns.
+    """Points per chunk of _lines for windows up to width points, or 0 for one chunk.
 
     A row's direct work grows with the chunk and its power-sum work with the
-    number of chunks, so the chunk is about sqrt(8 * width); under 8 chunks
-    the power sums do not pay for themselves and one chunk spans the block.
+    chunks in its window, so the chunk is about sqrt(8 * width); under 8
+    chunks the power sums do not pay for themselves.
     """
     chunk = math.ceil(math.sqrt(8 * width))
-    return chunk if width >= 8 * chunk else width
+    return chunk if width >= 8 * chunk else 0
 
 
 def _kernel_means(values, half):
@@ -393,7 +389,7 @@ def _kernel_means(values, half):
     return means
 
 
-def _fit_shared_rows(values, fit, lo, hi, half, smoothed):
+def _fit_shared_rows(t, values, fit, lo, hi, d_max, half, smoothed):
     """Fit the rows of fit that share weights on a uniform grid into smoothed; return the rest."""
     n = len(values)
     pending = np.zeros(n, dtype=bool)
@@ -408,7 +404,9 @@ def _fit_shared_rows(values, fit, lo, hi, half, smoothed):
         pending[interior] = False
     left = _mirrored_rows(pending, lo, hi)
     if len(left):
-        for band, (value, ok) in zip((left, n - 1 - left), _band_lines(values, left, lo, hi)):
+        ys = np.column_stack((values, values[::-1]))[: hi[left].max()].copy()  # the bands' union
+        fits = _lines(t, ys, left, lo, hi, d_max, None)
+        for band, (value, ok) in zip((left, n - 1 - left), fits):
             take = ok & pending[band]
             smoothed[band[take]] = value[take]
             pending[band[take]] = False
@@ -416,8 +414,9 @@ def _fit_shared_rows(values, fit, lo, hi, half, smoothed):
 
 
 # a span of t or values too large for float64 sums leave the fit non-finite;
-# that is reported once, as a DomainError, in place of numpy's warnings
-@np.errstate(over="ignore", invalid="ignore")
+# that is reported once, as a DomainError, in place of numpy's warnings; a zero
+# radius leaves its row's moments non-finite, and _fit_row takes the row
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def lowess_values(t, values, fraction=DEFAULT_FRACTION, robust_iterations=0):
     """Core array-level lowess. Returns smoothed values on the same grid.
 
@@ -454,7 +453,7 @@ def lowess_values(t, values, fraction=DEFAULT_FRACTION, robust_iterations=0):
     general = fit
     half = window // 2
     if _is_uniform(t, half):
-        general = _fit_shared_rows(values, fit, lo, hi, half, smoothed)
+        general = _fit_shared_rows(t, values, fit, lo, hi, d_max, half, smoothed)
     smoothed[general] = _fit_rows(t, values, general, lo, hi, d_max, None)
 
     for _ in range(int(robust_iterations)):

@@ -1,5 +1,6 @@
 """Lowess behavior: exactness cases, oracle equivalence, equivariances."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -503,14 +504,16 @@ class TestSharedWeights:
 def chunked_band_fit(monkeypatch, t, values, fraction):
     """lowess_values' first pass, the rows it handed to _fit_rows and the band's chunk count."""
     chunks = []
-    chunk_length = smoothing._chunk_length
+    lines = smoothing._lines
 
-    def recording(width):
-        chunk = chunk_length(width)
-        chunks.append(-(-width // chunk))
-        return chunk
+    def recording(t, ys, rows, lo, hi, *rest):
+        if ys.shape[1] == 2:  # the mirrored band: values and values[::-1]
+            width = int(np.max(hi[rows] - lo[rows]))
+            chunk = smoothing._chunk_length(width)
+            chunks.append(width // chunk if chunk else 1)
+        return lines(t, ys, rows, lo, hi, *rest)
 
-    monkeypatch.setattr(smoothing, "_chunk_length", recording)
+    monkeypatch.setattr(smoothing, "_lines", recording)
     ours, handed = fitted_by_rows(monkeypatch, t, values, fraction, 0)
     assert len(chunks) == 1
     return ours, handed[0], chunks[0]
@@ -572,6 +575,71 @@ class TestChunkedBands:
         assert handed & set(range(700)) == {0, 400, 401} and paired <= handed
         expected = row_by_row_passes(t, v, 0.4, 0)[-1]
         assert np.max(np.abs(ours - expected)) <= 1e-12 * np.ptp(v)
+
+
+def wide_case(grid, n):
+    """A random walk with 2 % of its points thrown 30 up, on a grid with gaps or ties."""
+    rng = np.random.default_rng(n)
+    half = n // 2
+    t = {
+        "irregular": lambda: np.cumsum(rng.uniform(20.0, 100.0, n)) / 3600,
+        "ties": lambda: np.sort(rng.integers(0, n // 3, n)).astype(float),
+        "duplicates": lambda: np.repeat(np.cumsum(rng.uniform(1.0, 2.0, n // 4)), 4),
+        # tie runs longer than a window: their rows have a zero radius
+        "tie runs": lambda: np.repeat(np.arange(6.0), n // 6),
+        # windows cross the gap, and so does the chunk holding its two sides
+        "gap": lambda: np.sort(np.append(rng.uniform(0.0, 1.0, half), rng.uniform(2.0, 3.0, half))),
+    }[grid]()
+    values = np.cumsum(rng.normal(0.0, 1.0, n)) + 0.01 * np.arange(n)
+    values[rng.random(n) < 0.02] += 30.0
+    return t, values
+
+
+class TestChunkedKernel:
+    """Windows many chunks wide, on any grid and in robust passes, match the per-row centred fit.
+
+    Each row weighs the chunks inside its window, but those holding a row of
+    its block or a window's end, through power sums about each chunk's own
+    centre and half-span; the robust passes weigh those sums by delta.
+    """
+
+    @pytest.mark.parametrize("iterations", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "grid,n,fraction",
+        [
+            ("irregular", 4000, 0.3),
+            ("ties", 3000, 0.6),
+            ("duplicates", 2400, 0.5),
+            ("tie runs", 6000, 0.1),
+            ("gap", 3000, 0.6),
+        ],
+    )
+    def test_matches_row_by_row_fit(self, grid, n, fraction, iterations):
+        t, v = wide_case(grid, n)
+        window = math.ceil(fraction * n)
+        assert window >= 8 * smoothing._chunk_length(window) > 0
+        expected = row_by_row_passes(t, v, fraction, iterations)[-1]
+        ours = lowess_values(t, v, fraction, iterations)
+        assert np.max(np.abs(ours - expected)) <= 1e-12 * np.ptp(v)
+
+    def test_irregular_series_keeps_its_bits(self):
+        # a fit-irregular sized series: its windows of 150 points make one chunk,
+        # so every block is one weight matrix over its union; the digests hold
+        # where BLAS rounds that product as on the host they were taken on
+        rng = np.random.default_rng(0)
+        product = rng.random((60, 300)) @ np.random.default_rng(1).random((300, 5))
+        if hashlib.sha256(product.tobytes()).hexdigest()[:16] != "b98e9338d12b1230":
+            pytest.skip("BLAS rounds the block product differently here than where it was pinned")
+        rng = np.random.default_rng(500)
+        t = np.cumsum(rng.uniform(20.0, 100.0, 500)) / 3600.0
+        v = 300.0 + 40.0 * t**0.8 * rng.uniform(0.98, 1.02, 500)
+        pins = {
+            0: "f29def685c0c61276e3f319371ab97c499873cc441f1d5315fd913356fe6e1a1",
+            2: "2effe60d401745e6fdef0388c5864b0ef849b9fa9f6d1151e5740fe47383fe30",
+        }
+        for iterations, digest in pins.items():
+            out = lowess_values(t, v, 0.3, iterations)
+            assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 class TestEquivariance:
