@@ -16,6 +16,7 @@ import re
 from unittest import mock
 
 from agekit import cli
+from agekit.cli import _trace_chart
 from agekit.simulator import SimConfig, parse_workload, run
 from agekit.svg import render_chart
 from harness import best_time, report
@@ -30,7 +31,7 @@ def trace_panels(trace):
     """The panels the CLI's trace chart hands to render_chart for a Trace's columns."""
     handed = []
     with mock.patch.object(cli, "render_chart", handed.append):
-        cli._trace_chart(trace.columns())
+        _trace_chart(trace.columns())
     return handed[0]
 
 

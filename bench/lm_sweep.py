@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from agekit import fitting
+from agekit.fitting import K_MIN, _initial_guess, levenberg_marquardt
 from agekit.simulator import SimConfig, aging_degree, parse_workload, run
 from harness import best_time, report
 
@@ -59,7 +59,7 @@ def free_cosine(t, y, theta):
     jac = np.column_stack((growth, t * f, np.log(t) * f))
     residual = y - f
     gradient = jac.T @ residual
-    free = (theta > [fitting.K_MIN, 0.0, 0.0]) | (gradient > 0.0)
+    free = (theta > [K_MIN, 0.0, 0.0]) | (gradient > 0.0)
     cosines = np.abs(gradient) / (np.linalg.norm(jac, axis=0) * np.linalg.norm(residual))
     return float(np.max(cosines[free], initial=0.0))
 
@@ -69,12 +69,12 @@ def main():
     cases += [(law, n, growth_law(params, n)) for law, params in LAWS.items() for n in SIZES]
     rows = []
     for name, n, (t, y) in cases:
-        start = fitting._initial_guess(t, y)
+        start = _initial_guess(t, y)
         began = time.perf_counter()
-        result = fitting.levenberg_marquardt(t, y, start)
+        result = levenberg_marquardt(t, y, start)
         first_s = time.perf_counter() - began
-        best_s = best_time(lambda: fitting.levenberg_marquardt(t, y, start))
-        guess_s = best_time(lambda: fitting._initial_guess(t, y))
+        best_s = best_time(lambda: levenberg_marquardt(t, y, start))
+        guess_s = best_time(lambda: _initial_guess(t, y))
         rows.append(
             {
                 "layer": "levenberg_marquardt",

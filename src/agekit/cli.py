@@ -94,8 +94,9 @@ def _fit_chart(curve, report):
     )
 
 
-def _fit_and_write(args, curves):
-    """Fit each curve, warn on stderr when a fit does not converge, write the outputs."""
+def _fit_and_write(args, curves, failure=None):
+    """Fit each curve and warn on stderr for each that does not converge; then raise
+    ``failure`` (a later input's) if there is one, else write the outputs."""
     fitted = []
     for curve in curves:
         report = fit(curve)
@@ -105,6 +106,8 @@ def _fit_and_write(args, curves):
                 file=sys.stderr,
             )
         fitted.append((curve, report))
+    if failure is not None:
+        raise failure
     write_fit_reports(args.output, [(curve.source_name, report) for curve, report in fitted])
     if args.svg is not None:
         write_text_atomic(args.svg, _fit_chart(*fitted[0]))
@@ -126,13 +129,6 @@ def _map_until_failure(func, items, failure=None):
     return results, failure
 
 
-def _raise_after(curves, failure):
-    """Yield the curves, then raise ``failure`` if there is one."""
-    yield from curves
-    if failure is not None:
-        raise failure
-
-
 def cmd_fit(parser, args):
     orientation = Orientation(args.orientation)
     if args.svg is not None and len(args.inputs) != 1:
@@ -145,8 +141,8 @@ def cmd_fit(parser, args):
     )
     del series  # the fit stage reads only the curves
     # the fits of the inputs before the first failure warn as they would one
-    # input at a time; the failure then leaves before any report is written
-    return _fit_and_write(args, _raise_after(curves, failure))
+    # input at a time
+    return _fit_and_write(args, curves, failure)
 
 
 def _build_policy(parser, args):

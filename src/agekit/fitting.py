@@ -42,7 +42,6 @@ K_MIN = 1e-12
 LAMBDA_START = 1e-3
 LAMBDA_MAX = 1e15
 LAMBDA_MIN = 1e-15
-STEP_TOL = 1e-10  # converged: largest relative parameter step below this
 GRADIENT_TOL = 1e-8  # converged: largest free residual-column cosine below this
 # converged: a stall whose Gauss-Newton step promises an SSR decrease <= this * sum |y * r|,
 # the rounding the SSR carries when each residual holds about 2 eps |y|
@@ -135,13 +134,12 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
 
     Convergence means the largest cosine between the residual and a free
     Jacobian column, |J_j^T r| / (||J_j|| ||r||), fell below GRADIENT_TOL (a
-    scale-free first-order test), or the relative parameter step fell below
-    STEP_TOL. A step that no damping makes acceptable is a stall. A stall is
-    convergence when the undamped Gauss-Newton step on the free parameters
-    promises an SSR decrease g_f^T H_ff^-1 g_f of at most SSR_ROUNDING *
-    sum |y_i * r_i|: each residual carries about 2 eps |y_i| of rounding, so
-    the SSR cannot resolve a smaller decrease, and the cosine there may be
-    rounding noise. A singular H_ff is not convergence. A start whose SSR
+    scale-free first-order test). A step that no damping makes acceptable is a
+    stall. A stall is convergence when the undamped Gauss-Newton step on the
+    free parameters promises an SSR decrease g_f^T H_ff^-1 g_f of at most
+    SSR_ROUNDING * sum |y_i * r_i|: each residual carries about 2 eps |y_i| of
+    rounding, so the SSR cannot resolve a smaller decrease, and the cosine
+    there may be rounding noise. A singular H_ff is not convergence. A start whose SSR
     overflows float64, or a Gram matrix J^T J that does, ends the run
     unconverged with a NaN cosine.
     """
@@ -158,8 +156,8 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     iterations = 0
     cosine, free = math.nan, range(3)
 
-    # an overflowed SSR or Gram matrix measures no step and would pass both stop
-    # tests, so a start there returns unconverged; every accepted SSR is finite
+    # an overflowed SSR or Gram matrix measures no step and would pass the cosine
+    # test, so a start there returns unconverged; every accepted SSR is finite
     while math.isfinite(ssr):
         gradient, hessian = jac.T @ residual, jac.T @ jac
         g, diag = gradient.tolist(), hessian.diagonal().tolist()
@@ -168,10 +166,8 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
             break
         free = [k for k in range(3) if theta[k] > LOWER_BOUNDS[k] or g[k] > 0.0]
         cosine = _largest_cosine(g, diag, ssr, free)
-        converged = (
-            converged
-            or cosine < GRADIENT_TOL
-            or (stalled and _promise_within_rounding(gradient, hessian, free, y, residual))
+        converged = cosine < GRADIENT_TOL or (
+            stalled and _promise_within_rounding(gradient, hessian, free, y, residual)
         )
         if converged or stalled or iterations == max_iterations:
             break
@@ -192,14 +188,11 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
             trial_residual = y - _model_and_jacobian(trial, t, log_t, trial_jac)
             trial_ssr = float(np.einsum("i,i->", trial_residual, trial_residual))
             if math.isfinite(trial_ssr) and trial_ssr < ssr:
-                rel_step = max(
-                    abs(c - p) / max(abs(c), abs(p), 1e-12) for c, p in zip(trial, theta)
-                )
                 theta, residual, ssr = trial, trial_residual, trial_ssr
                 jac, trial_jac = trial_jac, jac  # the old Jacobian is the next trial's buffer
                 ssr_path.append(ssr)
                 lam = max(lam / 10.0, LAMBDA_MIN)
-                stalled, converged = False, rel_step < STEP_TOL
+                stalled = False
                 break
             lam *= 10.0
 

@@ -44,6 +44,13 @@ The kernel clamps with comparisons, never with builtin min or max, whose call
 costs CPython several times the comparison it makes. Each keeps the builtin's
 argument order, max(a, b) as ``b if b > a else a`` and min(a, b) as
 ``b if b < a else a``, so ties, NaN and -0.0 give what the builtin gives.
+
+It clamps cached files, block, queue, live cache, heap and working set, which
+the laws can push out of range, and nothing the state invariants bound: the
+miss probability lies in [0, 1], as cached files never exceed the catalog and
+the Poisson top mass is capped at 1; the read-ahead damping 1 - working/total
+is nonnegative, as working <= total; the stale pool stays nonnegative, as its
+reclaim rate is at most 1 and its generation nonnegative.
 """
 
 import functools
@@ -329,6 +336,7 @@ class RejuvenationPolicy:
 
 NO_POLICY = RejuvenationPolicy.none()
 DEFAULT_TICKS = 4000  # run's tick count, and the CLI's --ticks default
+PRESSURE_CAP = 0.995  # memory_pressure's cap on the working set over total memory
 
 
 @dataclass(frozen=True)
@@ -430,7 +438,7 @@ def _check_state(
 
 def memory_pressure(working_set_mb, cfg):
     """Saturating pressure m/(1-m) with m = working set over total, clamped."""
-    m = min(working_set_mb / cfg.total_memory_mb, 0.995)
+    m = min(working_set_mb / cfg.total_memory_mb, PRESSURE_CAP)
     return m / (1.0 - m)
 
 
@@ -605,6 +613,7 @@ def _advance(state, load, cfg, policy, ticks, rng):
     queue_bw_gain = cfg.bandwidth_queue_gain
     pressure_bw_gain = cfg.bandwidth_pressure_gain
     window = cfg.trigger_window_ticks
+    pressure_cap = PRESSURE_CAP
     binomial = rng.binomial
     check = _check_state
 
@@ -641,15 +650,13 @@ def _advance(state, load, cfg, policy, ticks, rng):
         else:
             cached_files = live_mb / footprint
             cached_files = cached_files if cached_files < catalog else catalog
+            # p_miss lies in [0, 1]: cached_files <= catalog, top mass <= 1
             if poisson:
                 p_miss = 1.0 - top_mass(ranked, prefix_mass, cached_files)
             elif single_file:
                 p_miss = 0.0 if cached_files >= 1.0 else 1.0
             else:
-                share = cached_files / file_object
-                p_miss = 1.0 - (1.0 if 1.0 < share else share)
-            p_miss = 0.0 if 0.0 > p_miss else p_miss
-            p_miss = 1.0 if 1.0 < p_miss else p_miss
+                p_miss = 1.0 - cached_files / file_object
             if sampled:
                 misses = int(binomial(tick_requests, p_miss))
             else:
@@ -671,8 +678,7 @@ def _advance(state, load, cfg, policy, ticks, rng):
         queue = queue if queue > 0.0 else 0.0
 
         # --- cache, stale pool, reclaim --------------------------------------
-        damp = 1.0 - used
-        damp = damp if damp > 0.0 else 0.0
+        damp = 1.0 - used  # >= 0, as working <= total in every checked state
         # backlog data is parked in memory whether or not memory is tight; only
         # fresh read-ahead growth is throttled by free memory
         growth = misses * growth_per_miss * damp + backlog_gain * queue_len
@@ -685,8 +691,8 @@ def _advance(state, load, cfg, policy, ticks, rng):
         stale_gen = stale_churn * live_mb * tick_activity
         turnover = turnover_rate * live_mb * tick_activity
 
+        # >= 0, as reclaim_stale <= sfr_mb (its rate is at most 1) and stale_gen >= 0
         sfr = sfr_mb + stale_gen - reclaim_stale
-        sfr = sfr if sfr > 0.0 else 0.0
         live = live_mb + growth - stale_gen - turnover - reclaim_live
         live = live if live > 0.0 else 0.0
         cache = sfr + live
@@ -712,7 +718,7 @@ def _advance(state, load, cfg, policy, ticks, rng):
 
         # --- observable bandwidth and the trailing trigger average ------------
         used = working / total
-        m = 0.995 if 0.995 < used else used
+        m = pressure_cap if pressure_cap < used else used
         pressure = m / (1.0 - m)  # memory_pressure(working, cfg), inlined
         bandwidth = nominal / (1.0 + queue_bw_gain * queue + pressure_bw_gain * pressure)
         bw_avg += (bandwidth - bw_avg) / window

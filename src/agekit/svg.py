@@ -28,6 +28,7 @@ MARGIN_TOP = 28.0
 MARGIN_BOTTOM = 40.0
 
 FONT = 'font-family="sans-serif" font-size="11"'
+TICK_TARGET = 5  # ticks nice_ticks aims for on an axis
 
 
 def escape(text):
@@ -70,7 +71,7 @@ class Panel:
         object.__setattr__(self, "series", tuple(self.series))
 
 
-def nice_ticks(lo, hi, target=5):
+def nice_ticks(lo, hi):
     """Round tick positions on the 1-2-5 ladder covering [lo, hi].
 
     A degenerate span, or one too narrow to step through at its magnitude
@@ -80,9 +81,9 @@ def nice_ticks(lo, hi, target=5):
         raise DomainError("tick range must be finite")
     if hi < lo:
         lo, hi = hi, lo
-    ticks = _ladder(lo, hi, target) if hi > lo else None
+    ticks = _ladder(lo, hi) if hi > lo else None
     if ticks is None:
-        ticks = _ladder(*_widened(lo, hi), target)
+        ticks = _ladder(*_widened(lo, hi))
     return ticks
 
 
@@ -94,13 +95,12 @@ def _widened(lo, hi):
     return max(mid - pad, -top), min(mid + pad, top)
 
 
-def _ladder(lo, hi, target):
+def _ladder(lo, hi):
     """Ticks for lo < hi, or None when the step does not advance the values."""
-    count = max(target, 1)
-    raw_step = (hi - lo) / count
+    raw_step = (hi - lo) / TICK_TARGET
     if math.isinf(raw_step):
         # the span itself overflows; its share per tick does not
-        raw_step = hi / count - lo / count
+        raw_step = hi / TICK_TARGET - lo / TICK_TARGET
     if raw_step == 0.0:
         return None
     mag = 10.0 ** math.floor(math.log10(raw_step))
@@ -159,7 +159,7 @@ def _data_range(values, pad_fraction=0.05):
     lo = float(np.min(values))
     hi = float(np.max(values))
     pad = (hi - lo) * pad_fraction
-    if hi == lo or _ladder(lo - pad, hi + pad, 5) is None:
+    if hi == lo or _ladder(lo - pad, hi + pad) is None:
         return _widened(lo, hi)
     return lo - pad, hi + pad
 

@@ -877,6 +877,65 @@ class TestTickKernel:
         text = trace_csv(run(cfg, parse_workload(AGING_LOAD), ticks=4000, seed=0))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "overrides, workload, policy, digest",
+        [
+            # reclaim rate 1 and an armed refcount of 400: the stale pool's
+            # reclaim equals the whole pool on the 325 armed ticks
+            (
+                {"sfr_reclaim_rate": 1.0},
+                AGING_LOAD,
+                RejuvenationPolicy.mem_reap_enlarge(400, PINNED_TRIGGER),
+                "80c54fd4b284bf3e5a28708f9e7d6d7d6226c64741e63ea4521bc6b79ef4be21",
+            ),
+            # five files, file_max_object == file_object: the cache covers the
+            # catalog on 1 163 ticks (p_miss 0, the Poisson top mass 1.0) and,
+            # with no churn, the stale pool stays 0
+            (
+                {},
+                "600,0,5,5,1000,0",
+                NO_POLICY,
+                "4852eff0c8dc237db14f16ff0ff7836a3a23a7a12c486638f3643dde01079548",
+            ),
+            (
+                {},
+                "600,1,5,5,1000,0",
+                NO_POLICY,
+                "beaf3340dbdc67d77d6f0c9e4c074f406907318b986e92b7dd502a277d19fe55",
+            ),
+            (
+                {},
+                "600,2,5,5,1000,0",
+                NO_POLICY,
+                "ebda7ef935120e0736a79389f97aaaf5dd9b661a5e3ecf508cb82e0c8dcb1334",
+            ),
+            # the single-file law's p_miss is 0 or 1
+            (
+                {},
+                "600,3,100,20,1000,0",
+                NO_POLICY,
+                "d5468fff51f7efe66e58672f8d7f26716c4a35e56a130545a14b0c9380d00536",
+            ),
+            # every client on the same file: p_miss 0 on every tick
+            (
+                {},
+                "600,0,100,20,1000,1",
+                NO_POLICY,
+                "17a1f2a3161320d2366983015198a46fb91d4c8a05c454be5944c972956f9e55",
+            ),
+        ],
+        ids=["memreap-full-reclaim", "random", "sequential", "poisson", "single-file", "same"],
+    )
+    def test_traces_at_the_invariant_bounds_match_pinned_digests(
+        self, overrides, workload, policy, digest
+    ):
+        # sha256 of trace_csv, computed at commit 992789e, whose kernel still
+        # clamped p_miss, the read-ahead damping and the stale pool; each input
+        # holds one of those at the bound its invariant gives
+        cfg = SimConfig(**overrides)
+        text = trace_csv(run(cfg, parse_workload(workload), policy, ticks=2000, seed=0))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_states_follow_the_public_laws_bit_for_bit(self):
         # the kernel inlines bandwidth_for, read_latency and aging_level for speed
         cfg = SimConfig()
