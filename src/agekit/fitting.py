@@ -13,22 +13,24 @@ near-zero early samples would decide the start. Weighting row i by y_i makes
 its residual y_i * (ln y_i - ln f_i), about y_i - f_i: to first order the
 untransformed objective (Guo 2011, IEEE Signal Processing Magazine 28(5)).
 
-The refiner is a projected LM with an active set (Kanzow, Yamashita &
-Fukushima 2004): a parameter at its lower bound (K_MIN, alpha = 0, beta = 0)
-whose descent direction points out of the domain is held there, the step is
-solved on the free parameters and projected onto the bounds, and it is only
-accepted when it lowers S, so the accepted-step S sequence is nonincreasing by
-construction. It stops, as MINPACK's gtol test does (More 1978), once every
-free Jacobian column is nearly orthogonal to the residual: the test is on a
-cosine, so it holds at any scale of t, y or n. A step that no damping makes
-acceptable is a stall; a stall is convergence when the Gauss-Newton step on
-the free parameters promises a decrease within the rounding the SSR carries.
+S is linear in K, so the refiner solves K in closed form for each (alpha,
+beta) and runs on those two alone (variable projection: Golub & Pereyra 1973;
+Kaufman 1975). K has no bound and no start; only alpha and beta have one, at
+0. The refiner is a projected LM with an active set (Kanzow, Yamashita &
+Fukushima 2004): alpha or beta at 0 whose descent direction points out of the
+domain is held there, the step is solved on the free parameters and projected
+onto the bounds, and it is only accepted when it lowers S, so the
+accepted-step S sequence is nonincreasing by construction. It stops, as
+MINPACK's gtol test does (More 1978), once every free Jacobian column is
+nearly orthogonal to the residual: the test is on a cosine, so it holds at any
+scale of t, y or n. A step that no damping makes acceptable is a stall; a
+stall is convergence when the Gauss-Newton step on the free parameters
+promises a decrease within the rounding the SSR carries.
 """
 
 import csv
 import io
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,6 @@ from .model import FeedbackLoopModel
 from .timeseries import _as_readonly_float_array, format_float, write_text_atomic
 
 Y_FLOOR = 1e-6  # below this a sample cannot inform the log-space initializer
-K_MIN = 1e-12
 LAMBDA_START = 1e-3
 LAMBDA_MAX = 1e15
 LAMBDA_MIN = 1e-15
@@ -46,9 +47,7 @@ GRADIENT_TOL = 1e-8  # converged: largest free residual-column cosine below this
 # converged: a stall whose Gauss-Newton step promises an SSR decrease <= this * sum |y * r|,
 # the rounding the SSR carries when each residual holds about 2 eps |y|
 SSR_ROUNDING = 4.0 * math.ulp(1.0)
-LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the start's ln K stays below overflow
 PARAMETERS = ("K", "alpha", "beta")
-LOWER_BOUNDS = (K_MIN, 0.0, 0.0)
 
 FIT_REPORT_HEADER = ("name", "K", "alpha", "beta", "rmse", "r_square")
 
@@ -77,15 +76,23 @@ def r_square(observed, predicted):
     return 1.0 - ss_res / ss_tot
 
 
-def _model_and_jacobian(theta, t, log_t, jac):
-    """Write the Jacobian's columns into the (n, 3) array ``jac``; return the model values."""
-    K, alpha, beta = theta
-    growth = np.exp(alpha * t) * np.exp(beta * log_t)  # exp(alpha*t) * t**beta
-    f = K * growth
-    jac[:, 0] = growth  # contiguous products, then strided stores: faster than out= columns
+def _project(alpha, beta, t, log_t, y, jac):
+    """Solve K in closed form at (alpha, beta); write g and the alpha and beta columns
+    t*f and ln t*f into the (n, 3) array ``jac``; return [K, alpha, beta] and y - f.
+
+    g is exp(alpha*t) * t**beta scaled to a maximum of 1, so neither the model nor
+    its Jacobian overflows; K = <g, y>/<g, g> for it, kept at 0 when <g, y> <= 0.
+    """
+    ell = alpha * t + beta * log_t
+    top = float(ell.max())
+    g = np.exp(ell - top)
+    # einsum, not @: OpenBLAS threads ddot past 10 000 elements, and its idle thread stalls it
+    scale = max(float(np.einsum("i,i->", g, y)), 0.0) / float(np.einsum("i,i->", g, g))
+    f = scale * g
+    jac[:, 0] = g  # contiguous products, then strided stores: faster than out= columns
     jac[:, 1] = t * f
     jac[:, 2] = log_t * f
-    return f
+    return [scale * float(np.exp(-top)), alpha, beta], y - f
 
 
 def _largest_cosine(gradient, diag, ssr, free):
@@ -123,58 +130,65 @@ class LMResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed SSR or step is rejected below
 def levenberg_marquardt(t, y, start, max_iterations=200):
-    """Minimize the untransformed SSR from ``start`` over K >= K_MIN, alpha, beta >= 0.
+    """Minimize the untransformed SSR from ``start`` = (alpha, beta) over alpha, beta >= 0.
 
-    Each iteration freezes the active set: every parameter at its lower bound
-    whose descent direction (J^T r)_j points out of the domain. The damped
-    normal equations are solved on the other, free parameters, the step is
-    projected back onto the bounds, and it is accepted only if it lowers the
-    SSR. Damping starts at 1e-3, grows tenfold on a rejected step and shrinks
-    tenfold on an accepted one.
+    K is solved in closed form at each (alpha, beta), so the solver runs on those
+    two alone and each step solves on Kaufman's reduced Gram matrix
+    J^T J - (J^T g)(g^T J)/(g^T g), with J the alpha and beta columns. Each
+    iteration freezes the active set: alpha or beta at 0 whose descent direction
+    (J^T r)_j points out of the domain. The damped normal equations are solved on
+    the other, free parameters, the step is projected back onto the bounds, and it
+    is accepted only if it lowers the SSR. Damping starts at 1e-3, grows tenfold on
+    a rejected step and shrinks tenfold on an accepted one.
 
     Convergence means the largest cosine between the residual and a free
     Jacobian column, |J_j^T r| / (||J_j|| ||r||), fell below GRADIENT_TOL (a
-    scale-free first-order test). A step that no damping makes acceptable is a
-    stall. A stall is convergence when the undamped Gauss-Newton step on the
-    free parameters promises an SSR decrease g_f^T H_ff^-1 g_f of at most
+    scale-free first-order test; K's column g is orthogonal to r by
+    construction). A step that no damping makes acceptable is a stall. A stall
+    is convergence when the undamped Gauss-Newton step on the free parameters
+    promises an SSR decrease g_f^T H_ff^-1 g_f of at most
     SSR_ROUNDING * sum |y_i * r_i|: each residual carries about 2 eps |y_i| of
     rounding, so the SSR cannot resolve a smaller decrease, and the cosine
-    there may be rounding noise. A singular H_ff is not convergence. A start whose SSR
-    overflows float64, or a Gram matrix J^T J that does, ends the run
-    unconverged with a NaN cosine.
+    there may be rounding noise. A singular H_ff is not convergence. A start whose
+    SSR overflows float64, or a Gram matrix J^T J that does, ends the run
+    unconverged with a NaN cosine. ``theta`` is (K, alpha, beta).
     """
     t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
     log_t = np.log(t)
-    theta = np.maximum(np.asarray(start, dtype=float), LOWER_BOUNDS).tolist()
     jac, trial_jac = np.empty((len(t), 3)), np.empty((len(t), 3))
-    residual = y - _model_and_jacobian(theta, t, log_t, jac)
-    # einsum, not @: OpenBLAS threads ddot past 10 000 elements, and its idle thread stalls it
+    theta, residual = _project(*np.maximum(start, 0.0).tolist(), t, log_t, y, jac)
     ssr = float(np.einsum("i,i->", residual, residual))
     ssr_path = [ssr]
     lam = LAMBDA_START
     converged = stalled = False
     iterations = 0
-    cosine, free = math.nan, range(3)
+    cosine, free = math.nan, range(2)
 
     # an overflowed SSR or Gram matrix measures no step and would pass the cosine
     # test, so a start there returns unconverged; every accepted SSR is finite
     while math.isfinite(ssr):
-        gradient, hessian = jac.T @ residual, jac.T @ jac
-        g, diag = gradient.tolist(), hessian.diagonal().tolist()
+        gram, jr = (jac.T @ jac).tolist(), (jac.T @ residual).tolist()
+        gg, gj, jj = gram[0][0], gram[0][1:], [row[1:] for row in gram[1:]]
+        diag = [jj[0][0], jj[1][1]]
         if not math.isfinite(sum(diag)):
             cosine = math.nan
             break
-        free = [k for k in range(3) if theta[k] > LOWER_BOUNDS[k] or g[k] > 0.0]
-        cosine = _largest_cosine(g, diag, ssr, free)
+        # project g out of the alpha and beta columns: (P J)^T r and (P J)^T (P J)
+        cross = [v / gg for v in gj]
+        grad = [jr[j + 1] - cross[j] * jr[0] for j in range(2)]
+        reduced = [[jj[j][k] - cross[j] * gj[k] for k in range(2)] for j in range(2)]
+        free = [k for k in range(2) if theta[k + 1] > 0.0 or grad[k] > 0.0]
+        cosine = _largest_cosine(grad, diag, ssr, free)
+        gradient, hessian = np.array(grad), np.array(reduced)
         converged = cosine < GRADIENT_TOL or (
             stalled and _promise_within_rounding(gradient, hessian, free, y, residual)
         )
         if converged or stalled or iterations == max_iterations:
             break
         iterations += 1
-        system = hessian.copy() if len(free) == 3 else hessian[np.ix_(free, free)]
-        rhs = gradient if len(free) == 3 else gradient[free]
-        damping = [(diag[k], max(diag[k], 1e-30)) for k in free]  # keep it positive
+        system = hessian if len(free) == 2 else hessian[np.ix_(free, free)]
+        rhs = gradient if len(free) == 2 else gradient[free]
+        damping = [(reduced[k][k], max(reduced[k][k], 1e-30)) for k in free]  # keep it positive
         stalled = True
         while lam <= LAMBDA_MAX:
             for i, (h, d) in enumerate(damping):
@@ -184,8 +198,8 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
             except np.linalg.LinAlgError:
                 solved = np.linalg.lstsq(system, rhs, rcond=None)[0]
             step = dict(zip(free, solved.tolist()))
-            trial = [max(theta[k] + step.get(k, 0.0), LOWER_BOUNDS[k]) for k in range(3)]
-            trial_residual = y - _model_and_jacobian(trial, t, log_t, trial_jac)
+            trial = [max(theta[k + 1] + step.get(k, 0.0), 0.0) for k in range(2)]
+            trial, trial_residual = _project(*trial, t, log_t, y, trial_jac)
             trial_ssr = float(np.einsum("i,i->", trial_residual, trial_residual))
             if math.isfinite(trial_ssr) and trial_ssr < ssr:
                 theta, residual, ssr = trial, trial_residual, trial_ssr
@@ -196,13 +210,14 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
                 break
             lam *= 10.0
 
+    held = ("K",) * (theta[0] == 0.0) + tuple(PARAMETERS[k + 1] for k in range(2) if k not in free)
     return LMResult(
         theta=np.array(theta),
         converged=converged,
         iterations=iterations,
         ssr_path=tuple(ssr_path),
         gradient_cosine=cosine,
-        active_bounds=tuple(name for k, name in enumerate(PARAMETERS) if k not in free),
+        active_bounds=held,
     )
 
 
@@ -221,14 +236,9 @@ class FitReport:
 
 
 def _initial_guess(t, y):
-    """Start (K, alpha, beta): least squares on ln y = ln K + alpha*t + beta*ln t with
-    each row weighted by y, over the samples above Y_FLOOR, clipped to the bounds.
-
-    Where the clipped start's SSR or Gram matrix overflows, so that the solver
-    could take no step from it (alpha clipped to 0 can leave beta near 100),
-    the least squares is solved again with each clipped parameter held at its
-    bound, and the free ones clipped once more.
-    """
+    """Start (alpha, beta): least squares on ln y = ln K + alpha*t + beta*ln t with each
+    row weighted by y, over the samples above Y_FLOOR. The solver clips the start at 0
+    and sets K in closed form, so ln K is only a nuisance column here."""
     usable = y > Y_FLOOR
     count = int(usable.sum())
     if count == 0:
@@ -241,29 +251,16 @@ def _initial_guess(t, y):
         )
     tm, ym = t[usable], y[usable]
     design = np.column_stack((ym, ym * tm, ym * np.log(tm)))
-    target = ym * np.log(ym)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    bounds = ((math.log(K_MIN), 0.0, 0.0), (LOG_FLOAT_MAX, math.inf, math.inf))
-    start = np.clip(coef, *bounds)  # ln K, alpha, beta
-    held = start != coef
-    if 0 < held.sum() < 3:
-        jac = np.empty((len(t), 3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = _model_and_jacobian((math.exp(start[0]), *start[1:]), t, np.log(t), jac)
-            overflows = not math.isfinite(np.sum((y - f) ** 2) + np.sum(jac * jac))
-        if overflows:
-            shifted = target - design[:, held] @ start[held]
-            start[~held] = np.linalg.lstsq(design[:, ~held], shifted, rcond=None)[0]
-            start = np.clip(start, *bounds)
-    return np.array([math.exp(start[0]), start[1], start[2]])
+    coef, *_ = np.linalg.lstsq(design, ym * np.log(ym), rcond=None)
+    return coef[1:]
 
 
 def fit(curve):
     """Fit the growth law to an aging curve and report goodness of fit.
 
     ``converged=False`` is a report outcome, not an exception; degenerate
-    input (constant y, everything under the floor, bad grid) raises, and so
-    does an SSR that overflows float64.
+    input (constant y, everything under the floor, bad grid, a curve that only
+    K = 0 fits) raises, and so does an SSR that overflows float64.
     """
     t = _as_readonly_float_array(curve.t, "t", "fit input has non-finite entries")
     y = _as_readonly_float_array(curve.y, "y", "fit input has non-finite entries")

@@ -244,7 +244,7 @@ def test_criterion_08_stable_versus_aging_simulation():
     aging = run(cfg, parse_workload(AGING_LOAD), ticks=4000, seed=0)
     aging_bw = lowess_values(ticks, np.array([s.bandwidth_kbyte for s in aging]))
     aging_ok = (
-        aging_bw[-1] <= 30.0
+        aging_bw[-1] <= cfg.bandwidth_fail_kbyte
         and aging[-1].working_set_mb >= 1.8 * aging[0].working_set_mb
     )
     elapsed = time.perf_counter() - start
@@ -252,7 +252,7 @@ def test_criterion_08_stable_versus_aging_simulation():
         8,
         stable_ok and aging_ok and elapsed < 10.0,
         f"stable load holds bandwidth/cache bands, aging load ends at "
-        f"smoothed bandwidth {aging_bw[-1]:.1f} <= 30 and working set "
+        f"smoothed bandwidth {aging_bw[-1]:.1f} <= {cfg.bandwidth_fail_kbyte:g} and working set "
         f"{aging[-1].working_set_mb:.0f} >= {1.8 * aging[0].working_set_mb:.0f} MB, "
         f"{elapsed:.2f}s < 10s",
     )
