@@ -104,16 +104,26 @@ def _largest_cosine(gradient, diag, ssr, free):
     return math.nan if any(map(math.isnan, cosines)) else max(cosines)
 
 
-def _promise_within_rounding(gradient, hessian, free, y, residual):
+def _solve_step(hessian, gradient, free, lam):
+    """The step s of (H + lam D) s = g, D = diag(H) floored at 1e-30, or None if singular.
+    A held parameter's row and column are the identity's and its g entry 0: its step is 0."""
+    system, rhs = [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]
+    for j in free:
+        system[j] = [hessian[j][k] if k in free else 0.0 for k in range(2)]
+        system[j][j] += lam * max(hessian[j][j], 1e-30)  # keep the damping positive
+        rhs[j] = gradient[j]
+    try:
+        return np.linalg.solve(system, rhs).tolist()
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _promise_within_rounding(hessian, gradient, free, y, residual):
     """Whether the Gauss-Newton step on the free parameters promises an SSR decrease
     g_f^T H_ff^-1 g_f of at most SSR_ROUNDING * sum |y * r|; a singular H_ff promises no bound."""
-    g = gradient[free]
-    try:
-        promise = float(g @ np.linalg.solve(hessian[np.ix_(free, free)], g))
-    except np.linalg.LinAlgError:
-        return False
+    step = _solve_step(hessian, gradient, free, 0.0)
     rounding = SSR_ROUNDING * float(np.einsum("i,i->", np.abs(y), np.abs(residual)))
-    return promise <= rounding
+    return step is not None and float(np.dot(gradient, step)) <= rounding
 
 
 @dataclass(frozen=True)
@@ -136,10 +146,11 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
     two alone and each step solves on Kaufman's reduced Gram matrix
     J^T J - (J^T g)(g^T J)/(g^T g), with J the alpha and beta columns. Each
     iteration freezes the active set: alpha or beta at 0 whose descent direction
-    (J^T r)_j points out of the domain. The damped normal equations are solved on
-    the other, free parameters, the step is projected back onto the bounds, and it
-    is accepted only if it lowers the SSR. Damping starts at 1e-3, grows tenfold on
-    a rejected step and shrinks tenfold on an accepted one.
+    (J^T r)_j points out of the domain. A held parameter's row and column of the damped
+    normal equations are the identity's and its gradient entry 0, so one 2x2 solve
+    steps only the free ones; the step is projected back onto the bounds and accepted
+    only if it lowers the SSR, and a singular damped system is a rejected step. Damping
+    starts at 1e-3, grows tenfold on a rejected step and shrinks tenfold on an accepted one.
 
     Convergence means the largest cosine between the residual and a free
     Jacobian column, |J_j^T r| / (||J_j|| ||r||), fell below GRADIENT_TOL (a
@@ -179,35 +190,26 @@ def levenberg_marquardt(t, y, start, max_iterations=200):
         reduced = [[jj[j][k] - cross[j] * gj[k] for k in range(2)] for j in range(2)]
         free = [k for k in range(2) if theta[k + 1] > 0.0 or grad[k] > 0.0]
         cosine = _largest_cosine(grad, diag, ssr, free)
-        gradient, hessian = np.array(grad), np.array(reduced)
         converged = cosine < GRADIENT_TOL or (
-            stalled and _promise_within_rounding(gradient, hessian, free, y, residual)
+            stalled and _promise_within_rounding(reduced, grad, free, y, residual)
         )
         if converged or stalled or iterations == max_iterations:
             break
         iterations += 1
-        system = hessian if len(free) == 2 else hessian[np.ix_(free, free)]
-        rhs = gradient if len(free) == 2 else gradient[free]
-        damping = [(reduced[k][k], max(reduced[k][k], 1e-30)) for k in free]  # keep it positive
         stalled = True
         while lam <= LAMBDA_MAX:
-            for i, (h, d) in enumerate(damping):
-                system[i, i] = h + lam * d
-            try:
-                solved = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                solved = np.linalg.lstsq(system, rhs, rcond=None)[0]
-            step = dict(zip(free, solved.tolist()))
-            trial = [max(theta[k + 1] + step.get(k, 0.0), 0.0) for k in range(2)]
-            trial, trial_residual = _project(*trial, t, log_t, y, trial_jac)
-            trial_ssr = float(np.einsum("i,i->", trial_residual, trial_residual))
-            if math.isfinite(trial_ssr) and trial_ssr < ssr:
-                theta, residual, ssr = trial, trial_residual, trial_ssr
-                jac, trial_jac = trial_jac, jac  # the old Jacobian is the next trial's buffer
-                ssr_path.append(ssr)
-                lam = max(lam / 10.0, LAMBDA_MIN)
-                stalled = False
-                break
+            step = _solve_step(reduced, grad, free, lam)
+            if step is not None:  # a singular damped system is a rejected step
+                trial = [max(theta[k + 1] + step[k], 0.0) for k in range(2)]
+                trial, trial_residual = _project(*trial, t, log_t, y, trial_jac)
+                trial_ssr = float(np.einsum("i,i->", trial_residual, trial_residual))
+                if math.isfinite(trial_ssr) and trial_ssr < ssr:
+                    theta, residual, ssr = trial, trial_residual, trial_ssr
+                    jac, trial_jac = trial_jac, jac  # the old Jacobian is the next trial's buffer
+                    ssr_path.append(ssr)
+                    lam = max(lam / 10.0, LAMBDA_MIN)
+                    stalled = False
+                    break
             lam *= 10.0
 
     held = ("K",) * (theta[0] == 0.0) + tuple(PARAMETERS[k + 1] for k in range(2) if k not in free)

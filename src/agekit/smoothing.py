@@ -6,17 +6,19 @@ boundary distance is included), weighted by the tricube kernel on d/d_max.
 
 Evaluation is batched. The samples are sorted by t once (results are
 scattered back to the caller's order), which makes every window a contiguous
-run [lo, hi). The bounds of all windows are guessed, and each guess is
-checked on the same computed distances the definition uses; a row whose
-guess fails is found by bisection, so boundary ties are decided exactly as a
-full scan would decide them. One kernel, _lines, reads every line off the
-moments of [1, x, x^2, y, x*y], a block of consecutive rows at a time under a
-fixed element budget. A wide window is cut into chunks of about
-sqrt(8 * window) points; on one side of a row and inside its radius the
-tricube is a degree-9 polynomial in t, so such a chunk enters through its ten
-power sums, and only the chunks holding the rows or their windows' ends are
-weighed point by point. A row whose moments are ill posed is refitted on its
-own by a centred second pass, which holds every special case.
+run [lo, hi), and neither lo nor hi falls from one row to the next, so a run
+of rows spans [lo of its first, hi of its last). The bounds of all windows
+are guessed, and each guess is checked on the same computed distances the
+definition uses; a row whose guess fails is found by bisection, so boundary
+ties are decided exactly as a full scan would decide them. One kernel, _lines,
+reads every line off the moments of [1, x, x^2, y, x*y], a block of
+consecutive rows at a time under a fixed element budget. A wide window is cut
+into chunks of about sqrt(8 * window) points; on one side of a row and inside
+its radius the tricube is a degree-9 polynomial in t, so such a chunk enters
+through its ten power sums, and only the chunks holding the rows or their
+windows' ends are weighed point by point. A row whose moments are ill posed
+is refitted on its own by a centred second pass, which holds every special
+case.
 
 On a uniform grid the first pass shares weights between rows. The interior
 windows share one symmetric tricube kernel, which puts each local line's
@@ -132,13 +134,11 @@ def _is_uniform(t, half):
 
 def _block_ends(rows, held, lo, hi, chunk, chunks):
     """Split rows into runs whose blocks hold at most BLOCK_ELEMENTS: per row, weights on the
-    run's held chunks (at most its union) and ten power-sum coefficients per other chunk."""
-    # monotone envelopes bound the union of any run of consecutive rows
-    lo_env = np.minimum.accumulate(lo[rows][::-1])[::-1]
-    hi_env = np.maximum.accumulate(hi[rows])
-
+    run's held chunks (at most its union) and ten power-sum coefficients per other chunk.
+    Over ascending rows, lo, hi and each held index never fall, so a run's union and held
+    ranges are read off its first and last row."""
     def size(start, end):
-        union = hi_env[end - 1] - lo_env[start]
+        union = hi[rows[end - 1]] - lo[rows[start]]
         if not held:
             return union
         direct = sum(max(0, min(k[end - 1], chunks - 1) - max(k[start], 0) + 1) for k in held)
@@ -183,8 +183,8 @@ def _lines(t, ys, rows, lo, hi, d_max, robustness):
     robustness weight on a robust pass; the moments of [1, x, x^2, then y and
     x*y per column of ys] are taken about the middle of each block's t.
     """
-    c_lo = lo[rows].min()
-    span = hi[rows].max() - c_lo
+    c_lo = lo[rows[0]]
+    span = hi[rows[-1]] - c_lo
     chunk = _chunk_length(int(np.max(hi[rows] - lo[rows]))) or span
     chunks = -(-span // chunk)
     width = 3 + 2 * ys.shape[1]
@@ -229,14 +229,14 @@ def _lines(t, ys, rows, lo, hi, d_max, robustness):
     x0 = np.empty(len(rows))  # each row's x, about the middle of its block's t
     for start, end in _block_ends(rows, held, lo, hi, chunk, chunks):
         r = rows[start:end]
-        c0 = lo[r].min()
-        c1 = hi[r].max()
+        c0, c1 = lo[r[0]], hi[r[-1]]
         mid = t[c0] / 2 + t[c1 - 1] / 2
         np.subtract(t[r], mid, out=x0[start:end])
         # the three ranges of held chunks, merged, are weighed point by point
-        # for every row of the block: past its window a point weighs 0
+        # for every row of the block: past its window a point weighs 0; as
+        # first <= own <= last per row, the ranges come in that order
         runs = [] if held else [[0, 0]]
-        for a, b in sorted((k[start:end].min(), k[start:end].max()) for k in held):
+        for a, b in ((k[start], k[end - 1]) for k in held):
             if runs and a <= runs[-1][1] + 1:
                 runs[-1][1] = max(runs[-1][1], b)
             else:
@@ -394,17 +394,15 @@ def _fit_shared_rows(t, values, fit, lo, hi, d_max, half, smoothed):
     n = len(values)
     pending = np.zeros(n, dtype=bool)
     pending[fit] = True
-    # interior rows: window inside [i-H, i+H]; it holds at least 2H points,
-    # so it misses at most one end, which would sit at d_max and weigh 0
-    interior = fit[
-        (fit >= half) & (fit < n - half) & (lo[fit] >= fit - half) & (hi[fit] <= fit + half + 1)
-    ]
+    # interior rows: on a grid _is_uniform accepts, a window of at least 2H points
+    # lies in [i-H, i+H] and misses at most one end, which would sit at d_max and weigh 0
+    interior = fit[(fit >= half) & (fit < n - half)]
     if len(interior):
         smoothed[interior] = _kernel_means(values, half)[interior - half]
         pending[interior] = False
     left = _mirrored_rows(pending, lo, hi)
     if len(left):
-        ys = np.column_stack((values, values[::-1]))[: hi[left].max()].copy()  # the bands' union
+        ys = np.column_stack((values, values[::-1]))[: hi[left[-1]]].copy()  # the bands' union
         fits = _lines(t, ys, left, lo, hi, d_max, None)
         for band, (value, ok) in zip((left, n - 1 - left), fits):
             take = ok & pending[band]

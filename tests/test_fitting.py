@@ -480,6 +480,44 @@ class TestPinnedBits:
         assert result.converged
 
 
+class TestSingularSystems:
+    """A singular undamped system promises no stall bound; a singular damped one is a rejected
+    step."""
+
+    def test_singular_undamped_system_promises_nothing(self):
+        # a zero gradient would promise a zero decrease, within any rounding, if it solved
+        hessian, gradient = [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0]
+        assert fitting._solve_step(hessian, gradient, [0, 1], 0.0) is None
+        y, residual = np.ones(5), np.ones(5)
+        assert not fitting._promise_within_rounding(hessian, gradient, [0, 1], y, residual)
+
+    def test_singular_damped_system_is_a_rejected_trial(self, monkeypatch):
+        solve, project = fitting._solve_step, fitting._project
+        damped, projected = [], []
+
+        def singular_once(hessian, gradient, free, lam):
+            if lam > 0.0:
+                damped.append(lam)
+                if len(damped) == 1:
+                    return None
+            return solve(hessian, gradient, free, lam)
+
+        def counting(*args):
+            projected.append(args[:2])
+            return project(*args)
+
+        monkeypatch.setattr(fitting, "_solve_step", singular_once)
+        monkeypatch.setattr(fitting, "_project", counting)
+        t, y, start = pinned_case("all_free")
+        result = levenberg_marquardt(t, y, np.array(start))
+        # the singular trial evaluated no model: one projection for the start,
+        # one per damped system that solved; the next trial damps tenfold more
+        assert len(projected) == len(damped)
+        assert damped[1] == 10.0 * damped[0]
+        assert np.all(np.diff(result.ssr_path) <= 0.0)
+        assert result.converged
+
+
 class TestInitialGuess:
     def test_noiseless_law_is_recovered(self):
         true = FeedbackLoopModel(K=0.3, alpha=0.2, beta=1.4)

@@ -279,6 +279,36 @@ class TestWindows:
 
         check()
 
+    def test_bounds_never_fall_and_uniform_windows_stay_in_their_radius(self):
+        # the block planner reads a run's union off its first and last row, and
+        # the uniform interior takes the shared kernel without checking bounds
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            n=st.integers(12, 1500),
+            grid=st.sampled_from(
+                ["irregular", "ties", "tie runs", "gap", "ticks", "offset", "arange", "jittered"]
+            ),
+            fraction=st.floats(1 / 64, 1.0),
+        )
+        def check(seed, n, grid, fraction):
+            if grid in ("irregular", "ties", "tie runs", "gap"):
+                t = wide_case(grid, n)[0]
+            else:
+                t = outlier_case(seed, n, grid, 0.0)[0]
+            window = max(2, math.ceil(fraction * len(t)))
+            lo, hi, _ = smoothing._windows(t, window)
+            assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+            half = window // 2
+            if smoothing._is_uniform(t, half):
+                rows = np.arange(half, len(t) - half)
+                assert np.all(lo[rows] >= rows - half) and np.all(hi[rows] <= rows + half + 1)
+
+        check()
+
     def test_ties_past_the_window_are_found_by_bisection(self):
         # window 2: row 0's radius is 1, so all four points at 1.0 enter its
         # window, and rows 1-4 have radius 0 with the same four points; each
