@@ -21,6 +21,10 @@ also gives each side's iterations and converged flag. A row that raises on a
 side, or whose function that side lacks, reports the error and the run goes
 on. LAYER names pick the rows (all by default). An A/A run, ``ab.py HEAD`` on
 a clean checkout, shows the runner's resolution: its intervals should hold 1.0.
+
+The ``import`` row is the one that leaves the process: each of its timings is
+one fresh interpreter, from spawn to exit, running perfbench's set-up probe
+with ``PYTHONPATH`` at its side's ``src/``.
 """
 
 import contextlib
@@ -53,6 +57,9 @@ sys.path.insert(0, str(SRC))  # the change side is always this tree's agekit
 from agekit.cli import _trace_chart  # noqa: E402, F401
 from agekit.fitting import _initial_guess  # noqa: E402, F401
 from agekit.smoothing import _windows  # noqa: E402, F401
+
+sys.path.insert(1, str(REPO / "perfbench"))
+from run import SETUP_PROBE  # noqa: E402  the probe perfbench's setup_s times
 
 ROUNDS = 40
 MIN_ROUNDS = 5
@@ -90,10 +97,12 @@ SERIES_ROWS = (1_000, 4_000, 16_000, 172_800)
 
 
 class Side:
-    """One tree's agekit: ``side.smoothing`` imports ``<package>.smoothing`` on first use."""
+    """One tree's agekit: ``side.smoothing`` imports ``<package>.smoothing`` on first use;
+    ``side.src`` is the directory that holds the tree's ``agekit``."""
 
-    def __init__(self, package):
+    def __init__(self, package, src):
         self.package = package
+        self.src = src
 
     def __getattr__(self, module):
         return importlib.import_module(f"{self.package}.{module}")
@@ -232,6 +241,14 @@ def load_series_row(n, quoted, ak, work):
     return partial(ak.timeseries.load_series, path, "series", orientation)
 
 
+def import_row(ak, work):
+    """A fresh interpreter that imports the side's agekit.cli as perfbench's set-up probe does."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ak.src), env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-c", SETUP_PROBE]
+    return lambda: subprocess.run(argv, env=env, cwd=REPO, capture_output=True, check=True).stdout
+
+
 def render_chart_row(ticks, ak, work):
     """The panels of the CLI's trace chart (five series), as _trace_chart hands them over."""
     handed = []
@@ -279,6 +296,7 @@ def rows():
         for quoted in (False, True)
     ]
     out += [("render_chart", f"{t + 1} rows", partial(render_chart_row, t)) for t in TICKS]
+    out.append(("import", "perfbench set-up probe", import_row))
     return out
 
 
@@ -383,7 +401,8 @@ def git(*args):
 
 
 def export_base(rev, root):
-    """Extract REV's src/agekit under root and import it as agekit_base; returns the commit."""
+    """Extract REV's src/agekit under root and import it as agekit_base; returns the commit
+    and the package directory."""
     found = git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
     if found.returncode != 0:
         raise SystemExit(f"ab.py: unknown revision {rev!r}")
@@ -412,7 +431,7 @@ def main(argv):
     with tempfile.TemporaryDirectory(prefix="agekit-ab-") as tmp:
         commit, base_package = export_base(argv[0], os.path.join(tmp, "base_tree"))
         digests = {"base": source_digest(base_package), "change": source_digest(SRC / "agekit")}
-        sides = {"base": Side("agekit_base"), "change": Side("agekit")}
+        sides = {"base": Side("agekit_base", base_package.parent), "change": Side("agekit", SRC)}
         works = {label: os.path.join(tmp, label) for label in sides}
         for work in works.values():
             os.mkdir(work)

@@ -31,7 +31,6 @@ values as two more columns; the pairing is read off the computed windows.
 import math
 
 import numpy as np
-import numpy.fft  # loaded lazily by numpy; imported here so the first call does not pay for it
 
 from .errors import DomainError, _is_integral, _is_real, _shown
 from .timeseries import MetricSeries, _as_readonly_float_array

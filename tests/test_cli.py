@@ -107,6 +107,13 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_zero_file_max_object(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--workload", "600,0,20,0,1000,0", "-o", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "agekit: error: file_max_object must be at least 1\n"
+        assert not out.exists()
+
     def test_over_capacity_workload(self, tmp_path):
         code = main(
             ["simulate", "--workload", "950,0,20,20,1000,0", "-o", str(tmp_path / "t.csv")]

@@ -641,9 +641,20 @@ class TestFit:
         with pytest.raises(DomainError, match="y_floor"):
             fit(AgingCurve.unchecked("c", t, np.linspace(1e-9, 9e-7, 10)))
 
+    @pytest.mark.parametrize("above", [1, 2])
+    def test_fewer_than_three_samples_above_floor_rejected(self, above):
+        y = np.full(10, 1e-9)
+        y[-above:] = 0.5
+        with pytest.raises(DomainError, match=f"only {above} samples above y_floor"):
+            fit(AgingCurve.unchecked("c", np.linspace(1.0, 5.0, 10), y))
+
     def test_too_few_samples(self):
         with pytest.raises(DomainError, match="at least 4"):
             fit(AgingCurve.unchecked("c", [1.0, 2.0, 3.0], [0.1, 0.2, 0.3]))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(DomainError, match="matching one-dimensional t and y"):
+            fit(AgingCurve.unchecked("c", [1.0, 2.0, 3.0, 4.0, 5.0], [0.1, 0.2, 0.3, 0.4]))
 
     def test_law_far_above_one_fits(self):
         t = np.linspace(1.0, 50.0, 50)

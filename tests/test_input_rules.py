@@ -51,10 +51,13 @@ PROBES = {
     "normalize-strings": lambda: normalize_only(["a", "b"], UP),
     "rmse-string": lambda: rmse(["a"], [1.0]),
     "eval-model-string-t": lambda: eval_model(MODEL, "a"),
+    "eval-model-nan-t": lambda: eval_model(MODEL, [1.0, math.nan]),
     "svg-series-string-x": lambda: svg.Series("a", ["x"], [1.0]),
     "run-negative-seed": lambda: run(
         SimConfig(), parse_workload("600,0,100,20,1000,0"), ticks=3, seed=-1
     ),
+    # 600 clients x 1e23 ms / 1000 ms: past the 2**63 trials numpy's binomial takes
+    "run-requests-past-int64": lambda: run(SimConfig(tick_seconds=1e20), LOAD, ticks=1),
 }
 
 

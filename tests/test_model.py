@@ -243,6 +243,12 @@ class TestOdeResidual:
         r2 = ode_residual(FeedbackLoopModel(500.0, 0.3, 1.2), ts)
         assert r1 == pytest.approx(r2, rel=1e-6, abs=1e-12)
 
+    @pytest.mark.parametrize("K", [0.0, -1.0])
+    def test_nonpositive_k_rejected(self, K):
+        # only the unchecked constructor makes such a model
+        with pytest.raises(DomainError, match="ode_residual needs K > 0"):
+            ode_residual(FeedbackLoopModel.unchecked(K, 0.1, 0.1), self.grid(1e-3))
+
     def test_grid_validation(self):
         m = FeedbackLoopModel(1.0, 0.1, 0.1)
         with pytest.raises(DomainError, match="at least 3"):

@@ -70,6 +70,10 @@ class TestNormalizeOnly:
         with pytest.raises(DomainError, match="non-finite"):
             normalize_only([1.0, float("nan")], HIGHER)
 
+    def test_orientation_must_be_an_orientation(self):
+        with pytest.raises(DomainError, match="unknown orientation: 'higher-is-worse'"):
+            normalize_only([1.0, 2.0], "higher-is-worse")
+
     def test_span_beyond_float_range(self):
         # high - low overflows; the map must still give exact endpoints
         with warnings.catch_warnings():
@@ -117,6 +121,17 @@ class TestAgingCurve:
     def test_non_increasing_times_rejected(self):
         with pytest.raises(DomainError):
             AgingCurve(source_name="s", t=[2.0, 1.0], y=[0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "t, y, message",
+        [
+            ([1.0, 2.0], [0.0], "matching one-dimensional t and y"),
+            ([1.0], [0.5], "at least 2 samples, got 1"),
+        ],
+    )
+    def test_shape_rejected(self, t, y, message):
+        with pytest.raises(DomainError, match=message):
+            AgingCurve(source_name="s", t=t, y=y)
 
     def test_unchecked_bypasses_validation(self):
         c = AgingCurve.unchecked("synthetic", t=[1.0, 2.0], y=[0.0, 7.0])

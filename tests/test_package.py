@@ -21,10 +21,13 @@ def test_all_lists_exactly_the_public_names():
 
 def test_cli_import_leaves_the_network_stack_unloaded():
     # every CLI call pays for what `import agekit.cli` pulls in; the SVG
-    # escaping once loaded xml.sax, and with it urllib, http and ssl
+    # escaping once loaded xml.sax, and with it urllib, http and ssl; numpy.fft
+    # serves only a uniform grid's LOWESS, so it loads on first use, unless
+    # `import numpy` alone loads it (numpy 1.x)
     probe = (
-        "import sys, agekit.cli; "
-        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'ssl') if m in sys.modules))"
+        "import sys, numpy; "
+        "unloaded = {'xml.sax', 'urllib.request', 'ssl'} | ({'numpy.fft'} - set(sys.modules)); "
+        "import agekit.cli; print(sorted(unloaded & set(sys.modules)))"
     )
     src = str(Path(agekit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

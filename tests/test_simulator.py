@@ -155,6 +155,10 @@ class TestSimConfig:
         with pytest.raises(DomainError, match="queue_drain_rate must be at most 1"):
             SimConfig(queue_drain_rate=1.5)
 
+    def test_reclaim_rate_at_most_one(self):
+        with pytest.raises(DomainError, match="sfr_reclaim_rate must be at most 1"):
+            SimConfig(sfr_reclaim_rate=1.5)
+
     def test_cache_outflow_rates_bounded(self):
         with pytest.raises(DomainError, match="sfr_stale_rate \\+ cache_turnover_rate"):
             SimConfig(sfr_stale_rate=0.6, cache_turnover_rate=0.6)
@@ -276,6 +280,10 @@ class TestRejuvenationPolicy:
             RejuvenationPolicy.cache_hit(trigger_threshold=0.0)
         with pytest.raises(DomainError, match="trigger threshold out of range"):
             RejuvenationPolicy.cache_hit(trigger_threshold=1.2)
+
+    def test_variant_must_be_a_policy_variant(self):
+        with pytest.raises(DomainError, match="unknown policy variant: 'cache-hit'"):
+            RejuvenationPolicy("cache-hit")
 
     def test_probabilistic_needs_probability(self):
         with pytest.raises(DomainError, match=r"admit_probability in \[0, 1\]"):
@@ -1008,15 +1016,14 @@ class TestPoissonPopularity:
     @pytest.mark.parametrize("file_object", [1, 2, 20, 100])
     def test_cached_top_mass_equals_uncached(self, file_object):
         configs = [SimConfig(), SimConfig(poisson_mean_fraction=0.6)]
-        simulator._ranked_popularity.cache_clear()
         cached_files = [w + frac for w in range(file_object) for frac in (0.0, 0.375)]
         cached_files.append(float(file_object))
-        # the first pass fills the prefix memos, the second reads them back
-        for _ in range(2):
-            for cfg in configs:
-                ranked, prefix_mass = simulator._ranked_popularity(
-                    file_object, cfg.poisson_mean_fraction
-                )
+        for cfg in configs:
+            ranked, prefix_mass = simulator._ranked_popularity(
+                file_object, cfg.poisson_mean_fraction
+            )
+            # the first pass fills the prefix memo, the second reads it back
+            for _ in range(2):
                 for c in cached_files:
                     expected = uncached_top_mass(file_object, c, cfg)
                     assert simulator._poisson_top_mass(ranked, prefix_mass, c) == expected
@@ -1027,7 +1034,6 @@ class TestPoissonPopularity:
         load = parse_workload("600,2,100,20,1000,0")
         # a trigger this low arms the policy from the first tick on
         policy = policy_of(variant, trigger_threshold=1e-6)
-        simulator._ranked_popularity.cache_clear()
         cached = (
             trace_csv(run(cfg, load, policy, ticks=2000, seed=5)),
             apply_policy_experiment(cfg, load, policy, ticks=2000, rejuvenation_tick=700, seed=5),

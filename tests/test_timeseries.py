@@ -370,6 +370,25 @@ class TestWriteTextAtomic:
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_failed_clean_up_keeps_the_rename_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def refuse_rename(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        def refuse_unlink(target):
+            raise OSError(16, "Device or resource busy", target)
+
+        monkeypatch.setattr(os, "replace", refuse_rename)
+        monkeypatch.setattr(os, "unlink", refuse_unlink)
+        with pytest.raises(PermissionError):
+            write_text_atomic(str(path), "new\n")
+        monkeypatch.undo()
+        assert path.read_text() == "old\n"
+        leftovers = [p for p in tmp_path.iterdir() if p.name != "out.csv"]
+        assert len(leftovers) == 1 and leftovers[0].read_text() == "new\n"
+
     def test_missing_directory_error_names_the_path(self, tmp_path):
         path = str(tmp_path / "absent" / "out.csv")
         with pytest.raises(FileNotFoundError) as excinfo:
